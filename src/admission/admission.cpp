@@ -32,30 +32,17 @@ void AdmissionController::attach_telemetry(obs::Telemetry* telemetry) {
 
 Decision evaluate(const model::FlowSet& admitted,
                   const model::SporadicFlow& candidate, AnalysisKind kind,
-                  const trajectory::Config& trajectory_cfg,
-                  trajectory::AnalysisCache* cache, obs::Telemetry* telemetry,
-                  trajectory::EngineStats* stats_out) {
+                  obs::Telemetry* telemetry) {
+  TFA_EXPECTS_MSG(kind == AnalysisKind::kHolistic ||
+                      kind == AnalysisKind::kNetworkCalculus,
+                  "the trajectory kinds admit through ShardedAnalyzer");
   Decision d;
 
-  // Structural rejections first: name clash, path outside the network.
-  if (admitted.find(candidate.name())) {
-    d.reason = "a flow named '" + candidate.name() + "' is already admitted";
-    return d;
-  }
   model::FlowSet tentative = admitted;
   tentative.add(candidate);
-  if (const auto issues = tentative.validate(); !issues.empty()) {
-    d.reason = "invalid request: " + issues.front().message;
-    return d;
-  }
-
-  // Necessary condition: no node may exceed full utilisation.
-  for (const NodeId h : candidate.path().nodes()) {
-    if (tentative.node_utilisation(h) > 1.0) {
-      d.reason = "node " + std::to_string(h) + " would exceed capacity";
-      return d;
-    }
-  }
+  d.reason = trajectory::structural_rejection(
+      candidate, admitted.find(candidate.name()).has_value(), tentative);
+  if (!d.reason.empty()) return d;
 
   auto harvest = [&](const auto& bounds, bool converged) {
     bool ok = converged;
@@ -71,33 +58,12 @@ Decision evaluate(const model::FlowSet& admitted,
   };
 
   bool ok = false;
-  switch (kind) {
-    case AnalysisKind::kTrajectory:
-    case AnalysisKind::kTrajectoryEf: {
-      // Incremental API: in the common admit sequence the tentative set
-      // extends the previously analysed one by the newcomer, so the Smax
-      // fixed point warm-starts from the cached table instead of from the
-      // cold seed (trajectory/batch.h).  A caller without a lineage gets
-      // a private cold cache.
-      trajectory::AnalysisCache scratch;
-      const trajectory::Result r = trajectory::reanalyze_with(
-          tentative, cache != nullptr ? *cache : scratch, trajectory_cfg,
-          telemetry);
-      if (stats_out != nullptr)
-        *stats_out = r.stats;  // already this call's delta, registry or not
-      ok = harvest(r.bounds, r.converged);
-      break;
-    }
-    case AnalysisKind::kHolistic: {
-      const holistic::Result r = holistic::analyze(tentative, {}, telemetry);
-      ok = harvest(r.bounds, r.converged);
-      break;
-    }
-    case AnalysisKind::kNetworkCalculus: {
-      const netcalc::Result r = netcalc::analyze(tentative, {}, telemetry);
-      ok = harvest(r.bounds, r.converged);
-      break;
-    }
+  if (kind == AnalysisKind::kHolistic) {
+    const holistic::Result r = holistic::analyze(tentative, {}, telemetry);
+    ok = harvest(r.bounds, r.converged);
+  } else {
+    const netcalc::Result r = netcalc::analyze(tentative, {}, telemetry);
+    ok = harvest(r.bounds, r.converged);
   }
 
   if (!ok) {
@@ -116,8 +82,8 @@ Decision AdmissionController::request(const model::SporadicFlow& flow) {
   Decision d;
   if (sharded_) {
     // Shard-routed path: only the shards the candidate's path touches are
-    // analysed; the decision is bit-identical to the global evaluate()
-    // (docs/sharding.md), only cheaper.
+    // analysed; the decision is bit-identical to a global analysis of the
+    // tentative set (docs/sharding.md), only cheaper.
     trajectory::AdmitOutcome o = sharded_->admit(flow);
     d.admitted = o.admitted;
     d.reason = std::move(o.reason);
@@ -125,8 +91,7 @@ Decision AdmissionController::request(const model::SporadicFlow& flow) {
     d.candidate_bound = o.candidate_bound;
     last_stats_ = o.stats;
   } else {
-    d = evaluate(set_, flow, kind_, trajectory_cfg_, nullptr, telemetry_,
-                 &last_stats_);
+    d = evaluate(set_, flow, kind_, telemetry_);
   }
   if (d.admitted) set_.add(flow);
   if (telemetry_ != nullptr) {

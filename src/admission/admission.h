@@ -14,8 +14,8 @@
 
 #include "base/types.h"
 #include "model/flow_set.h"
-#include "trajectory/batch.h"
 #include "trajectory/shard.h"
+#include "trajectory/stats.h"
 #include "trajectory/types.h"
 
 namespace tfa::obs {
@@ -44,25 +44,19 @@ struct Decision {
   Duration candidate_bound = 0;
 };
 
-/// The stateless core of one admission decision: would `candidate` be
-/// admissible on top of the already-certified `admitted` set?  Performs
-/// the structural checks (name clash, validation, node capacity) and the
+/// The stateless core of one holistic or network-calculus admission
+/// decision: would `candidate` be admissible on top of the
+/// already-certified `admitted` set (clean under validate())?  Applies
+/// the structural gates (trajectory::structural_rejection) and the
 /// worst-case analysis of the tentative set, but commits nothing — the
 /// caller owns the set and applies the add itself on a positive decision.
-///
-/// `cache` (trajectory kinds only, may be null) warm-starts the analysis
-/// and is refreshed with the tentative run's converged state either way;
-/// `stats_out` (may be null) receives that run's EngineStats.  Both are
-/// ignored by the holistic / network-calculus kinds.  Shared by
-/// AdmissionController::request and the analysis service's `admit` op, so
-/// the two admission paths cannot drift.
+/// AdmissionController::request is the one caller; the trajectory kinds
+/// are decided by trajectory::ShardedAnalyzer::admit (as is the analysis
+/// service's `admit` op), and passing one here is a contract failure.
 [[nodiscard]] Decision evaluate(const model::FlowSet& admitted,
                                 const model::SporadicFlow& candidate,
                                 AnalysisKind kind,
-                                const trajectory::Config& trajectory_cfg,
-                                trajectory::AnalysisCache* cache = nullptr,
-                                obs::Telemetry* telemetry = nullptr,
-                                trajectory::EngineStats* stats_out = nullptr);
+                                obs::Telemetry* telemetry = nullptr);
 
 /// Edge admission controller.
 ///
@@ -72,7 +66,7 @@ struct Decision {
 /// the shards the candidate's path touches — bit-identical to the global
 /// analysis by the shard-decomposition argument (docs/sharding.md), but
 /// with per-request cost scaling in the shard size, not the network size.
-/// The holistic / network-calculus kinds keep the global evaluate() path.
+/// The holistic / network-calculus kinds go through the global evaluate().
 class AdmissionController {
  public:
   explicit AdmissionController(model::Network network,

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "base/contracts.h"
-#include "obs/json.h"
+#include "base/json.h"
 
 namespace tfa::obs {
 
@@ -18,6 +18,15 @@ void Histogram::record(std::int64_t value) {
     }
   }
   ++overflow;
+}
+
+void Histogram::merge(const Histogram& other) {
+  TFA_EXPECTS(bounds == other.bounds);
+  for (std::size_t k = 0; k < other.counts.size(); ++k)
+    counts[k] += other.counts[k];
+  overflow += other.overflow;
+  count += other.count;
+  sum += other.sum;
 }
 
 std::int64_t& MetricRegistry::counter(std::string_view name) {
@@ -84,14 +93,8 @@ void MetricRegistry::merge(const MetricRegistry& other) {
     std::int64_t& mine = gauge(name);
     mine = std::max(mine, v);
   }
-  for (const auto& [name, h] : other.histograms_) {
-    Histogram& mine = histogram(name, h.bounds);
-    for (std::size_t k = 0; k < h.counts.size(); ++k)
-      mine.counts[k] += h.counts[k];
-    mine.overflow += h.overflow;
-    mine.count += h.count;
-    mine.sum += h.sum;
-  }
+  for (const auto& [name, h] : other.histograms_)
+    histogram(name, h.bounds).merge(h);
   for (const auto& [name, s] : other.series_)
     for (const std::int64_t v : s) append_series(name, v);
 }
@@ -111,14 +114,8 @@ void MetricRegistry::merge_with_prefix(const MetricRegistry& other,
     std::int64_t& mine = gauge(prefixed(name));
     mine = std::max(mine, v);
   }
-  for (const auto& [name, h] : other.histograms_) {
-    Histogram& mine = histogram(prefixed(name), h.bounds);
-    for (std::size_t k = 0; k < h.counts.size(); ++k)
-      mine.counts[k] += h.counts[k];
-    mine.overflow += h.overflow;
-    mine.count += h.count;
-    mine.sum += h.sum;
-  }
+  for (const auto& [name, h] : other.histograms_)
+    histogram(prefixed(name), h.bounds).merge(h);
   for (const auto& [name, s] : other.series_)
     for (const std::int64_t v : s) append_series(prefixed(name), v);
 }

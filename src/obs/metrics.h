@@ -44,6 +44,10 @@ struct Histogram {
   std::int64_t sum = 0;    ///< Sum of sample values.
 
   void record(std::int64_t value);
+
+  /// Adds `other` bucket-wise — the one histogram merge rule.  The
+  /// bounds must be equal (checked).
+  void merge(const Histogram& other);
 };
 
 /// The registry.  Metrics are created on first access and live for the

@@ -44,27 +44,23 @@ enum class Op {
   kLoadNetwork,  ///< Create a session from flow-set text.
   kAddFlow,      ///< Append one flow line to a session.
   kRemoveFlow,   ///< Remove a flow by name.
-  kAnalyze,      ///< Worst-case analysis of the session's set (batchable).
+  kAnalyze,      ///< Worst-case analysis of the session's set.
   kAdmit,        ///< Admission test + commit of one candidate flow.
   kSnapshot,     ///< Serialised flow set of a session.
   kProvision,    ///< Buffer-provisioning plan of the session's set.
   kMetrics,      ///< Service-wide deterministic metrics dump.
   kStatsz,       ///< Prometheus-text exposition (deterministic kinds).
-  kFlush,        ///< Barrier: close the open analyze batch.
+  kFlush,        ///< No-op barrier kept for compatibility (`flushed` 0).
   kShutdown,     ///< Graceful drain: in-flight finish, later requests fail.
 };
 
 /// Wire name of `op` ("load_network", "analyze", ...).
 [[nodiscard]] const char* to_string(Op op) noexcept;
 
-/// Per-request analysis options.  Two analyze requests may share a batch
-/// exactly when their options compare equal (the coalescing key).
+/// Per-request analysis options (`analyze` and `admit`).
 struct AnalyzeOptions {
   bool ef_mode = false;
   trajectory::SmaxSemantics smax = trajectory::SmaxSemantics::kArrival;
-
-  friend bool operator==(const AnalyzeOptions&,
-                         const AnalyzeOptions&) = default;
 };
 
 /// One validated request.

@@ -83,14 +83,8 @@ ServeResult serve_stream(std::istream& in, std::ostream& out,
       service.submit(line);
       ++result.requests;
     }
-    // Close the batch when no more input is already buffered: a client
-    // that stops to read gets its analyze answered now, while a piped
-    // burst keeps coalescing.
-    if (in.rdbuf()->in_avail() <= 0) service.flush();
     drain(out, service);
   }
-  service.flush();
-  drain(out, service);
   result.shutdown = service.draining();
   return result;
 }

@@ -22,12 +22,9 @@ struct ServeResult {
 /// longer than ServiceConfig::max_request_bytes is discarded up to its
 /// newline (never buffered whole) and answered with the structured
 /// `oversized` error envelope, leaving the stream line-synchronised for
-/// the next request.  The open analyze batch is closed whenever the
-/// input buffer runs dry — an interactive client gets its answer
-/// without having to send `flush` — and at EOF; response *bytes* do not
-/// depend on where batches close, only latency does.  EOF after
-/// `shutdown` is the graceful-drain exit; plain EOF drains the same
-/// way.
+/// the next request.  Each response is written as soon as its request
+/// is served.  EOF after `shutdown` is the graceful-drain exit; plain
+/// EOF drains the same way.
 ServeResult serve_stream(std::istream& in, std::ostream& out,
                          Service& service);
 

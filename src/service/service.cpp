@@ -1,10 +1,9 @@
 #include "service/service.h"
 
-#include <algorithm>
 #include <chrono>
-#include <map>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "base/contracts.h"
 #include "model/serialize.h"
@@ -13,6 +12,7 @@
 #include "obs/telemetry.h"
 #include "provision/planner.h"
 #include "trajectory/batch.h"
+#include "trajectory/stats.h"
 
 namespace tfa::service {
 
@@ -27,10 +27,6 @@ std::int64_t steady_now_ns() {
 std::vector<std::int64_t> latency_bounds() {
   // Microsecond buckets: sub-100us (memo hits) up to >10s overflow.
   return {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000};
-}
-
-std::vector<std::int64_t> occupancy_bounds() {
-  return {1, 2, 4, 8, 16, 32, 64};
 }
 
 const char* smax_name(trajectory::SmaxSemantics s) noexcept {
@@ -98,6 +94,14 @@ std::string render_analyze_fragment(const model::FlowSet& set,
   return out;
 }
 
+WireError deadline_error(std::int64_t waited_ns, std::int64_t deadline_ms) {
+  WireError e;
+  e.code = "deadline_exceeded";
+  e.message = "request waited " + std::to_string(waited_ns / 1'000'000) +
+              " ms, past its " + std::to_string(deadline_ms) + " ms deadline";
+  return e;
+}
+
 WireError oversized_error(std::size_t bytes, std::size_t limit) {
   WireError e;
   e.code = "oversized";
@@ -140,7 +144,6 @@ Service::Service(ServiceConfig cfg, obs::Telemetry* telemetry)
       store_(owned_store_.get()),
       telemetry_(telemetry) {
   if (!cfg_.clock) cfg_.clock = steady_now_ns;
-  if (cfg_.max_batch == 0) cfg_.max_batch = 1;
   // The service registry is long-lived like a session's: cap its series.
   if (telemetry_ != nullptr) telemetry_->metrics.set_series_capacity(4096);
 }
@@ -150,7 +153,6 @@ Service::Service(ServiceConfig cfg, obs::Telemetry* telemetry,
     : cfg_(std::move(cfg)), store_(shared), telemetry_(telemetry) {
   TFA_EXPECTS(shared != nullptr);
   if (!cfg_.clock) cfg_.clock = steady_now_ns;
-  if (cfg_.max_batch == 0) cfg_.max_batch = 1;
   if (telemetry_ != nullptr) telemetry_->metrics.set_series_capacity(4096);
 }
 
@@ -258,8 +260,6 @@ std::optional<std::string> Service::next_response() {
   return line;
 }
 
-void Service::flush() { close_batch(); }
-
 void Service::submit(std::string_view line) {
   submit_at(line, cfg_.clock(), /*transport_stamped=*/false);
 }
@@ -272,7 +272,6 @@ void Service::submit_oversized(std::size_t bytes) {
   const std::uint64_t seq = ++seq_;
   const std::int64_t start = cfg_.clock();
   bump("service.requests");
-  close_batch();
   RequestMeta meta;
   meta.bytes = bytes;
   // Ordered like the in-band size gate: before the draining check, so a
@@ -290,7 +289,6 @@ void Service::submit_at(std::string_view line, std::int64_t start,
 
   // Size gate before parsing: an oversized line is rejected unread.
   if (line.size() > cfg_.max_request_bytes) {
-    close_batch();
     respond_error(seq, "", "", generated_trace(seq),
                   oversized_error(line.size(), cfg_.max_request_bytes), start,
                   meta);
@@ -313,7 +311,6 @@ void Service::submit_at(std::string_view line, std::int64_t start,
   }
 
   if (!p.ok) {
-    close_batch();
     respond_error(seq, p.id_json, p.op_text, trace, p.error, start, meta);
     return;
   }
@@ -321,207 +318,23 @@ void Service::submit_at(std::string_view line, std::int64_t start,
   if (telemetry_ != nullptr)
     ++telemetry_->metrics.counter("service.op." + p.op_text);
 
-  if (p.request.op == Op::kAnalyze) {
-    // Coalesce: equal options join the open batch, different options
-    // close it first (FIFO order is preserved either way).
-    if (!batch_.empty() && !(batch_opts_ == p.request.analyze)) close_batch();
-    batch_opts_ = p.request.analyze;
-    PendingAnalyze pending;
-    pending.seq = seq;
-    pending.id_json = p.id_json;
-    pending.trace = trace;
-    pending.session = p.request.session;
-    pending.bytes = line.size();
-    pending.submitted_ns = start;
-    pending.deadline_ms = p.request.deadline_ms;
-    batch_.push_back(std::move(pending));
-    if (batch_.size() >= cfg_.max_batch) close_batch();
-    return;
-  }
-
-  // An immediate op whose deadline already expired while the request sat
-  // in the transport (only observable with a transport arrival stamp —
-  // in the unstamped path `start` is the current clock reading, so the
-  // elapsed time is zero by construction).
-  if (transport_stamped && p.request.deadline_ms) {
+  // A non-analyze op whose deadline already expired while the request
+  // sat in the transport (only observable with a transport arrival stamp
+  // — in the unstamped path `start` is the current clock reading, so the
+  // elapsed time is zero by construction).  `analyze` checks its
+  // deadline itself, just before the engine runs.
+  if (transport_stamped && p.request.deadline_ms &&
+      p.request.op != Op::kAnalyze) {
     const std::int64_t waited = cfg_.clock() - start;
     if (waited > *p.request.deadline_ms * 1'000'000) {
-      close_batch();
-      WireError e;
-      e.code = "deadline_exceeded";
-      e.message = "request waited " + std::to_string(waited / 1'000'000) +
-                  " ms, past its " + std::to_string(*p.request.deadline_ms) +
-                  " ms deadline";
-      respond_error(seq, p.id_json, p.op_text, trace, e, start, meta);
+      respond_error(seq, p.id_json, p.op_text, trace,
+                    deadline_error(waited, *p.request.deadline_ms), start,
+                    meta);
       return;
     }
   }
 
-  close_batch();
   execute(p.request, p.op_text, seq, p.id_json, trace, line.size(), start);
-}
-
-void Service::close_batch() {
-  if (batch_.empty()) {
-    last_batch_ = 0;
-    return;
-  }
-  std::vector<PendingAnalyze> batch;
-  batch.swap(batch_);
-  last_batch_ = batch.size();
-
-  obs::Span batch_span = obs::span(telemetry_, "service.analyze_batch");
-  const std::int64_t now = cfg_.clock();
-  if (telemetry_ != nullptr)
-    telemetry_->metrics.histogram("service.batch_occupancy", occupancy_bounds())
-        .record(static_cast<std::int64_t>(batch.size()));
-
-  trajectory::Config cfg = cfg_.analysis;
-  cfg.ef_mode = batch_opts_.ef_mode;
-  cfg.smax_semantics = batch_opts_.smax;
-  const std::string opts_key = std::string(cfg.ef_mode ? "ef" : "all") + ":" +
-                               smax_name(cfg.smax_semantics);
-
-  // Triage each request, deduplicating engine work: one job per distinct
-  // session (all requests in a batch share the options, so they would
-  // compute the same answer), and none at all on a memo hit.
-  struct Slot {
-    bool failed = false;
-    WireError error;
-    Session* session = nullptr;
-    std::string memo_key;
-    bool cached = false;  ///< Memo hit, or duplicate of a job in this batch.
-    bool memo_hit = false;
-    std::size_t job = SIZE_MAX;
-  };
-  std::vector<Slot> slots(batch.size());
-  std::vector<trajectory::CachedJob> jobs;
-  std::vector<Session*> job_sessions;
-  std::vector<std::string> job_traces;  ///< Trace of the job's first request.
-  std::map<std::string, std::size_t, std::less<>> job_of_session;
-
-  // Resolve deadlines and session addresses first, without any session
-  // lock held.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingAnalyze& p = batch[i];
-    Slot& s = slots[i];
-    if (p.deadline_ms &&
-        now - p.submitted_ns > *p.deadline_ms * 1'000'000) {
-      s.failed = true;
-      s.error.code = "deadline_exceeded";
-      s.error.message = "request waited " +
-                        std::to_string((now - p.submitted_ns) / 1'000'000) +
-                        " ms, past its " + std::to_string(*p.deadline_ms) +
-                        " ms deadline";
-      continue;
-    }
-    s.session = store_->find(p.session);
-    if (s.session == nullptr) {
-      s.failed = true;
-      s.error.code = "unknown_session";
-      s.error.message = "no session named '" + p.session + "'";
-    }
-  }
-
-  // Lock every distinct involved session for the rest of the batch —
-  // triage reads the sets, the engine runs against them, and the memo
-  // refresh writes them.  Locking in name order (names are unique, so
-  // this is a total order) keeps rival connections whose batches overlap
-  // free of deadlock; see service/session.h.
-  std::vector<Session*> involved;
-  for (const Slot& s : slots)
-    if (s.session != nullptr) involved.push_back(s.session);
-  std::sort(involved.begin(), involved.end(),
-            [](const Session* a, const Session* b) { return a->name < b->name; });
-  involved.erase(std::unique(involved.begin(), involved.end()),
-                 involved.end());
-  std::vector<std::unique_lock<std::mutex>> guards;
-  guards.reserve(involved.size());
-  for (Session* sess : involved) guards.emplace_back(sess->mu);
-
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingAnalyze& p = batch[i];
-    Slot& s = slots[i];
-    if (s.failed) continue;
-    Session* sess = s.session;
-    if (sess->set.empty()) {
-      s.failed = true;
-      s.error.code = "empty_session";
-      s.error.message =
-          "session '" + p.session + "' has no flows to analyse";
-      continue;
-    }
-    s.memo_key = opts_key + "\n" + model::serialize_flow_set(sess->set);
-    if (sess->memo_key == s.memo_key) {
-      s.memo_hit = true;
-      s.cached = true;
-      bump("service.analyze.memo_hits");
-      continue;
-    }
-    const auto [it, inserted] =
-        job_of_session.try_emplace(p.session, jobs.size());
-    if (inserted) {
-      trajectory::CachedJob job;
-      job.set = &sess->set;
-      job.cache = &sess->cache;
-      job.telemetry = &sess->telemetry;
-      jobs.push_back(job);
-      job_sessions.push_back(sess);
-      job_traces.push_back(p.trace);
-    } else {
-      // Duplicate of a job already in this batch: answered from the same
-      // result, and reported `cached` exactly like a memo hit — so the
-      // response bytes cannot depend on where batch boundaries fell.
-      s.cached = true;
-      bump("service.analyze.memo_hits");
-    }
-    s.job = it->second;
-  }
-
-  // Each job's session tracer carries the trace of the request that
-  // created the job for the duration of the fan-out, so the engine's
-  // phase spans (settle, Smax passes) are attributable to one wire
-  // request.  Safe under the session locks held above; reanalyze_many
-  // never opens spans from inside its workers.
-  for (std::size_t j = 0; j < jobs.size(); ++j)
-    job_sessions[j]->telemetry.trace.set_context(job_traces[j]);
-  std::vector<trajectory::Result> results;
-  if (!jobs.empty())
-    results = trajectory::reanalyze_many(jobs, cfg, cfg_.workers, telemetry_);
-  for (Session* sess : job_sessions) sess->telemetry.trace.clear_context();
-
-  std::vector<std::string> fragments(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    fragments[j] = render_analyze_fragment(*jobs[j].set, results[j]);
-    ++job_sessions[j]->analyzes;
-  }
-  // Refresh each analysed session's memo (every slot of a session in one
-  // batch carries the same key, so repeated assignment is idempotent).
-  for (const Slot& s : slots) {
-    if (s.job == SIZE_MAX) continue;
-    s.session->memo_key = s.memo_key;
-    s.session->memo_fragment = fragments[s.job];
-  }
-
-  // Respond in arrival order — the scheduler never reorders the wire.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingAnalyze& p = batch[i];
-    const Slot& s = slots[i];
-    RequestMeta meta;
-    meta.bytes = p.bytes;
-    if (s.failed) {
-      respond_error(p.seq, p.id_json, "analyze", p.trace, s.error,
-                    p.submitted_ns, meta);
-      continue;
-    }
-    if (!s.cached && s.job != SIZE_MAX)
-      meta.smax_passes = results[s.job].stats.smax_passes;
-    std::string result = s.cached ? "{\"cached\":true," : "{\"cached\":false,";
-    result += s.memo_hit ? s.session->memo_fragment : fragments[s.job];
-    result += '}';
-    respond_ok(p.seq, p.id_json, "analyze", p.trace, result, p.submitted_ns,
-               meta);
-  }
 }
 
 void Service::execute(const Request& r, const std::string& op_text,
@@ -584,6 +397,66 @@ void Service::execute(const Request& r, const std::string& op_text,
                            ",\"flows\":" + std::to_string(flows) +
                            ",\"nodes\":" + std::to_string(nodes) + "}";
       respond_ok(seq, id_json, op_text, trace, result, start_ns, meta);
+      return;
+    }
+    case Op::kAnalyze: {
+      Session* sess = store_->find(r.session);
+      std::unique_lock<std::mutex> session_lock;
+      if (sess != nullptr) session_lock = std::unique_lock(sess->mu);
+      // One clock reading just before the engine runs, so time spent in
+      // the transport queue and waiting for the session lock both count
+      // against the deadline.
+      const std::int64_t waited = cfg_.clock() - start_ns;
+      if (r.deadline_ms && waited > *r.deadline_ms * 1'000'000) {
+        respond_error(seq, id_json, op_text, trace,
+                      deadline_error(waited, *r.deadline_ms), start_ns, meta);
+        return;
+      }
+      if (sess == nullptr) {
+        e.code = "unknown_session";
+        e.message = "no session named '" + r.session + "'";
+        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+        return;
+      }
+      if (sess->set.empty()) {
+        e.code = "empty_session";
+        e.message = "session '" + r.session + "' has no flows to analyse";
+        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+        return;
+      }
+      trajectory::Config cfg = cfg_.analysis;
+      cfg.ef_mode = r.analyze.ef_mode;
+      cfg.smax_semantics = r.analyze.smax;
+      cfg.workers = cfg_.workers;
+      std::string memo_key = std::string(cfg.ef_mode ? "ef" : "all") + ":" +
+                             smax_name(cfg.smax_semantics) + "\n" +
+                             model::serialize_flow_set(sess->set);
+      if (sess->memo_key == memo_key) {
+        bump("service.analyze.memo_hits");
+        respond_ok(seq, id_json, op_text, trace,
+                   "{\"cached\":true," + sess->memo_fragment + "}", start_ns,
+                   meta);
+        return;
+      }
+      trajectory::Result res;
+      {
+        // The session tracer carries this request's trace id through the
+        // engine's phase spans.
+        const TraceContextGuard session_ctx(&sess->telemetry.trace, trace);
+        res = trajectory::reanalyze_with(sess->set, sess->cache, cfg,
+                                         &sess->telemetry);
+      }
+      if (telemetry_ != nullptr) {
+        ++telemetry_->metrics.counter("trajectory.sets_reanalyzed");
+        trajectory::publish_stats(res.stats, telemetry_->metrics);
+      }
+      ++sess->analyzes;
+      sess->memo_key = std::move(memo_key);
+      sess->memo_fragment = render_analyze_fragment(sess->set, res);
+      meta.smax_passes = res.stats.smax_passes;
+      respond_ok(seq, id_json, op_text, trace,
+                 "{\"cached\":false," + sess->memo_fragment + "}", start_ns,
+                 meta);
       return;
     }
     case Op::kAddFlow: {
@@ -893,9 +766,10 @@ void Service::execute(const Request& r, const std::string& op_text,
       return;
     }
     case Op::kFlush: {
-      respond_ok(seq, id_json, op_text, trace,
-                 "{\"flushed\":" + std::to_string(last_batch_) + "}",
-                 start_ns, meta);
+      // Kept for protocol compatibility: every request is answered before
+      // submit() returns, so there is never anything to flush.
+      respond_ok(seq, id_json, op_text, trace, "{\"flushed\":0}", start_ns,
+                 meta);
       return;
     }
     case Op::kShutdown: {
@@ -906,8 +780,6 @@ void Service::execute(const Request& r, const std::string& op_text,
                  start_ns, meta);
       return;
     }
-    case Op::kAnalyze:
-      break;  // handled by the batching path in submit()
   }
   TFA_ASSERT(false);
 }

@@ -8,21 +8,18 @@
 // a fixed key order and all scheduling-dependent values are kept off
 // the wire.
 //
-// Request scheduling: consecutive `analyze` requests whose options
-// compare equal coalesce into one batch; the batch closes when a
-// different request arrives, when it reaches ServiceConfig::max_batch,
-// or on flush()/`flush`.  A closed batch runs one warm-started engine
-// job per distinct session, fanned out over ServiceConfig::workers via
-// trajectory::reanalyze_many() — per-job state (set, cache, telemetry)
-// is private to the session, so the fan-out cannot race, and the
-// response bytes are bit-identical for every worker count (pinned by
-// tests/service/determinism_test.cpp).
+// Request scheduling: every request, `analyze` included, is answered
+// before submit() returns, in arrival order.  An `analyze` answers from
+// the session's memo or warm-starts one engine run
+// (trajectory::reanalyze_with() over the session's AnalysisCache) with
+// ServiceConfig::workers threads; the response bytes are bit-identical
+// for every worker count (pinned by tests/service/determinism_test.cpp).
 //
 // Shared-store mode: the socket transport
 // (service/socket_transport.h) gives every connection its own Service
-// — its own seq space, batch scheduler and output queue — over one
-// shared SessionStore, so each connection's response bytes match what
-// the same request sequence would produce over stdio.  In that mode
+// — its own seq space and output queue — over one shared SessionStore,
+// so each connection's response bytes match what the same request
+// sequence would produce over stdio.  In that mode
 // requests for different sessions execute truly concurrently; the
 // per-session locks in service/session.h serialise rivals for the
 // same session, and this class takes them on every session access
@@ -41,7 +38,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "service/protocol.h"
 #include "service/session.h"
@@ -56,12 +52,9 @@ namespace tfa::service {
 
 /// Tuning knobs of one Service instance.
 struct ServiceConfig {
-  /// Threads the analyze-batch fan-out may use (0 = hardware default).
-  /// Never affects response bytes.
+  /// Config::workers of every engine run the service starts (`analyze`
+  /// and `admit`; 0 = hardware default).  Never affects response bytes.
   std::size_t workers = 1;
-
-  /// Analyze requests coalesced into one batch at most.
-  std::size_t max_batch = 64;
 
   /// Hard per-request size limit; longer lines are answered with an
   /// `oversized` error without being parsed.
@@ -71,15 +64,15 @@ struct ServiceConfig {
   std::size_t max_sessions = 64;
 
   /// Base analysis configuration.  Per-request options override ef_mode
-  /// and smax_semantics; the scheduler owns the worker count.
+  /// and smax_semantics; `workers` above sets the worker count.
   trajectory::Config analysis;
 
   /// Nanosecond clock used for deadlines and latency metrics.  Default
   /// is std::chrono::steady_clock; tests inject a counter, which makes
   /// every response — including the `metrics` op — bit-reproducible.
   /// The service calls it on a fixed schedule (once per submit, once
-  /// per batch close, once per response) precisely so an injected clock
-  /// yields deterministic values.
+  /// before an `analyze` runs the engine, once per response) precisely so
+  /// an injected clock yields deterministic values.
   std::function<std::int64_t()> clock;
 
   /// Structured event log (obs/eventlog.h; may be null, must outlive
@@ -109,14 +102,13 @@ struct RequestMeta {
 
 /// The embeddable service core.  Single-threaded by contract, like the
 /// rest of the observability layer: one thread submits and polls;
-/// parallelism lives inside the batch fan-out.
+/// parallelism lives inside the engine runs.
 class Service {
  public:
   /// `telemetry` (may be null, must outlive the service) receives the
-  /// service-level metrics — request/error counters, latency and
-  /// batch-occupancy histograms, aggregate engine counters — and the
-  /// per-op spans; it is what `tfa_tool serve` wires to --metrics-out /
-  /// --trace-out.
+  /// service-level metrics — request/error counters, the latency
+  /// histogram, aggregate engine counters — and the per-op spans; it is
+  /// what `tfa_tool serve` wires to --metrics-out / --trace-out.
   explicit Service(ServiceConfig cfg = {}, obs::Telemetry* telemetry = nullptr);
 
   /// Shared-store variant: sessions live in `*shared` (which must
@@ -127,9 +119,7 @@ class Service {
   Service(ServiceConfig cfg, obs::Telemetry* telemetry, SessionStore* shared);
 
   /// Accepts one request line.  Always consumes one sequence number and
-  /// eventually produces exactly one response; `analyze` responses may
-  /// be deferred until the batch closes, everything else responds
-  /// before submit() returns.
+  /// queues exactly one response before it returns.
   void submit(std::string_view line);
 
   /// Transport-timestamped variant: `arrival_ns` (a value of the
@@ -137,7 +127,8 @@ class Service {
   /// line) replaces the clock call submit() would make, so queueing
   /// delay between the socket and the executor counts against
   /// `deadline_ms`.  This overload consults the clock once itself to
-  /// test already-expired deadlines of immediate (non-analyze) ops.
+  /// test already-expired deadlines of non-analyze ops (`analyze` reads
+  /// the clock before its engine run either way).
   void submit(std::string_view line, std::int64_t arrival_ns);
 
   /// Emits the `oversized` error envelope for a request line of
@@ -146,15 +137,11 @@ class Service {
   /// docs/service.md, "Limits").
   void submit_oversized(std::size_t bytes);
 
-  /// Closes the open analyze batch (no-op when empty).
-  void flush();
-
   /// Next completed response line in sequence order, if any.
   [[nodiscard]] std::optional<std::string> next_response();
 
-  /// True once a `shutdown` request was served: queued work has been
-  /// flushed and every later submit() is answered with a `draining`
-  /// error.
+  /// True once a `shutdown` request was served: every later submit() is
+  /// answered with a `draining` error.
   [[nodiscard]] bool draining() const noexcept { return draining_; }
 
   /// Requests accepted so far (= last assigned seq).
@@ -164,16 +151,6 @@ class Service {
   [[nodiscard]] const ServiceConfig& config() const noexcept { return cfg_; }
 
  private:
-  struct PendingAnalyze {
-    std::uint64_t seq = 0;
-    std::string id_json;
-    std::string trace;  ///< Resolved trace id (request's or generated).
-    std::string session;
-    std::size_t bytes = 0;
-    std::int64_t submitted_ns = 0;
-    std::optional<std::int64_t> deadline_ms;
-  };
-
   /// One flight-recorder entry.
   struct FlightRecord {
     std::uint64_t seq = 0;
@@ -192,7 +169,6 @@ class Service {
                std::uint64_t seq, const std::string& id_json,
                const std::string& trace, std::size_t bytes,
                std::int64_t start_ns);
-  void close_batch();
 
   void respond_ok(std::uint64_t seq, const std::string& id_json,
                   std::string_view op_text, const std::string& trace,
@@ -220,10 +196,6 @@ class Service {
 
   std::uint64_t seq_ = 0;
   bool draining_ = false;
-
-  std::vector<PendingAnalyze> batch_;
-  AnalyzeOptions batch_opts_;
-  std::size_t last_batch_ = 0;  ///< Size of the most recently closed batch.
 
   std::deque<std::string> out_;
   std::deque<FlightRecord> flight_;  ///< Last N responses, oldest first.

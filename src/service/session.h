@@ -2,18 +2,16 @@
 // long-lived flow-set lineage carrying its own warm-start state
 // (trajectory::AnalysisCache) and its own engine telemetry, so analyses
 // of different sessions never share mutable state — that independence is
-// what lets the request scheduler fan a batch out over workers, and what
-// lets the socket transport run requests for different sessions truly
-// concurrently.
+// what lets the socket transport run requests for different sessions
+// truly concurrently.
 //
 // Concurrency contract: the store's own map is guarded internally
 // (create/find/for_each are safe to call from any thread), and every
 // *session's* mutable state is guarded by its `Session::mu` — a caller
 // must hold it across any read or write of the session's set, cache,
-// memo or telemetry.  When several sessions are locked together (the
-// analyze-batch path), they are locked in name order, which is a total
-// order because names are unique; single-transport deployments
-// (loopback, stdio) pay only uncontended-lock costs.
+// memo or telemetry.  A request locks at most one session at a time;
+// single-transport deployments (loopback, stdio) pay only
+// uncontended-lock costs.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +43,8 @@ struct Session {
   trajectory::AnalysisCache cache;
 
   /// Private engine sink (series capped).  Never shared with another
-  /// session — batched jobs run concurrently.
+  /// session — requests for different sessions run concurrently on the
+  /// socket transport.
   obs::Telemetry telemetry;
 
   std::uint64_t analyzes = 0;  ///< Engine runs (memo hits excluded).
@@ -69,7 +68,7 @@ struct Session {
 
   /// Guards everything above except `name` (immutable after creation).
   /// Held by the service for the duration of each request touching this
-  /// session, including the engine run of an analyze batch.
+  /// session, including the engine run of an `analyze`.
   std::mutex mu;
 
   void invalidate_memo() {

@@ -58,16 +58,6 @@ const std::vector<std::int64_t>& latency_bounds() {
   return bounds;
 }
 
-/// Bucket-wise histogram fold (same rule MetricRegistry::merge applies).
-void fold_histogram(obs::Histogram& dst, const obs::Histogram& src) {
-  TFA_ASSERT(dst.bounds == src.bounds);
-  for (std::size_t k = 0; k < src.counts.size(); ++k)
-    dst.counts[k] += src.counts[k];
-  dst.overflow += src.overflow;
-  dst.count += src.count;
-  dst.sum += src.sum;
-}
-
 }  // namespace
 
 /// One client connection.  Framing state (`partial`, the discard
@@ -218,9 +208,8 @@ void SocketServer::publish_counters() {
       bytes_out_.load(std::memory_order_relaxed));
   const std::scoped_lock lock(latency_mu_);
   if (closed_latency_.count > 0)
-    fold_histogram(
-        m.histogram("service.net.request_latency_ns", latency_bounds()),
-        closed_latency_);
+    m.histogram("service.net.request_latency_ns", latency_bounds())
+        .merge(closed_latency_);
 }
 
 std::uint16_t SocketServer::metrics_port() const noexcept {
@@ -244,12 +233,11 @@ std::string SocketServer::metrics_text() {
 
   // Latency: the closed-connection fold plus every live connection, in
   // connection-id order (fixed merge order — docs/observability.md).
-  obs::Histogram merged;
-  merged.bounds = latency_bounds();
-  merged.counts.assign(merged.bounds.size(), 0);
+  obs::Histogram& latency =
+      snap.histogram("service.net.request_latency_ns", latency_bounds());
   {
     const std::scoped_lock lock(latency_mu_);
-    fold_histogram(merged, closed_latency_);
+    latency.merge(closed_latency_);
   }
   std::vector<std::shared_ptr<Conn>> live;
   {
@@ -262,11 +250,8 @@ std::string SocketServer::metrics_text() {
             });
   for (const std::shared_ptr<Conn>& c : live) {
     const std::scoped_lock lock(c->mu);
-    fold_histogram(merged, c->latency);
+    latency.merge(c->latency);
   }
-  fold_histogram(snap.histogram("service.net.request_latency_ns",
-                                latency_bounds()),
-                 merged);
 
   // The attached telemetry (only stop() writes it, after the endpoint
   // is down) and every session's registry, in name order.
@@ -557,7 +542,7 @@ void SocketServer::retire(const std::shared_ptr<Conn>& c) {
   // its tail samples are dropped rather than raced for.
   const std::scoped_lock lock(c->mu, latency_mu_);
   if (c->busy) return;
-  fold_histogram(closed_latency_, c->latency);
+  closed_latency_.merge(c->latency);
   c->latency.counts.assign(c->latency.bounds.size(), 0);
   c->latency.overflow = 0;
   c->latency.count = 0;
@@ -596,14 +581,6 @@ void SocketServer::executor_loop() {
         }
         requests_.fetch_add(1, std::memory_order_relaxed);
       }
-      bool more;
-      {
-        const std::scoped_lock lock(c->mu);
-        more = !c->pending.empty();
-      }
-      // Input momentarily dry: close the open analyze batch, exactly
-      // like serve_stream does when its stream has no buffered bytes.
-      if (!more) c->service.flush();
       std::string out;
       while (std::optional<std::string> r = c->service.next_response()) {
         out += *r;

@@ -10,11 +10,10 @@
 //     line costs bounded memory and still gets its structured
 //     `oversized` envelope), and non-blocking writes from bounded
 //     per-connection output queues.
-//   * Each connection owns a Service instance — its own seq space,
-//     batch scheduler and response queue — so a connection's response
-//     bytes are exactly what the same request lines would produce over
-//     stdio or the in-process loopback (pinned by
-//     tests/service/socket_test.cpp).
+//   * Each connection owns a Service instance — its own seq space and
+//     response queue — so a connection's response bytes are exactly what
+//     the same request lines would produce over stdio or the in-process
+//     loopback (pinned by tests/service/socket_test.cpp).
 //   * All connections share one SessionStore.  Executor threads run
 //     ready connections concurrently; the per-session locks
 //     (service/session.h) make requests for the same session serialise

@@ -321,7 +321,7 @@ std::size_t ShardedAnalyzer::settle() {
       cfg_.workers == 0 ? default_worker_count() : cfg_.workers;
   std::vector<obs::Telemetry> sinks(dirty.size());
   if (dirty.size() > 1 && fan > 1) {
-    // Fan the dirty shards out like reanalyze_many: the fan-out is the only
+    // Fan the dirty shards out like analyze_many: the fan-out is the only
     // parallelism (per-shard engines at workers=1), results land in
     // pre-sized slots, and all publishing happens afterwards in shard-id
     // order — so bounds AND telemetry are bit-identical for every fan.
@@ -351,24 +351,27 @@ std::size_t ShardedAnalyzer::settle() {
   return dirty.size();
 }
 
+std::string structural_rejection(const model::SporadicFlow& candidate,
+                                 bool name_taken,
+                                 const model::FlowSet& tentative) {
+  if (name_taken)
+    return "a flow named '" + candidate.name() + "' is already admitted";
+  {
+    model::FlowSet solo(tentative.network());
+    solo.add(candidate);
+    if (const auto issues = solo.validate(); !issues.empty())
+      return "invalid request: " + issues.front().message;
+  }
+  // Necessary condition: no node may exceed full utilisation.
+  for (const NodeId h : candidate.path().nodes())
+    if (tentative.node_utilisation(h) > 1.0)
+      return "node " + std::to_string(h) + " would exceed capacity";
+  return {};
+}
+
 AdmitOutcome ShardedAnalyzer::admit(const model::SporadicFlow& candidate) {
   ++stats_.requests;
   AdmitOutcome out;
-
-  // Structural gates, in admission::evaluate()'s order and wording.
-  if (flows_.contains(candidate.name())) {
-    out.reason =
-        "a flow named '" + candidate.name() + "' is already admitted";
-    return out;
-  }
-  {
-    model::FlowSet solo(net_);
-    solo.add(candidate);
-    if (const auto issues = solo.validate(); !issues.empty()) {
-      out.reason = "invalid request: " + issues.front().message;
-      return out;
-    }
-  }
 
   // Tentative set = the union of every shard the candidate's path touches,
   // plus the candidate, in canonical name order.  The partition rule makes
@@ -391,12 +394,9 @@ AdmitOutcome ShardedAnalyzer::admit(const model::SporadicFlow& candidate) {
     for (auto it = pos; it != names.end(); ++it)
       tentative.add(flows_.at(*it));
   }
-  for (const NodeId h : candidate.path().nodes()) {
-    if (tentative.node_utilisation(h) > 1.0) {
-      out.reason = "node " + std::to_string(h) + " would exceed capacity";
-      return out;
-    }
-  }
+  out.reason = structural_rejection(
+      candidate, flows_.contains(candidate.name()), tentative);
+  if (!out.reason.empty()) return out;
 
   // Every shard's standing verdict must be current before it can veto (or
   // wave through) the admission.  Also refreshes the member caches, so the

@@ -65,6 +65,20 @@ struct ShardOutcome {
   std::size_t split_shards = 0;    ///< New shards a removal split off.
 };
 
+/// The structural admission gates, shared by ShardedAnalyzer::admit() and
+/// admission::evaluate() so their order and reason strings cannot drift:
+/// a name clash with an admitted flow (`name_taken`), a candidate that
+/// fails validation, and a node of the candidate's path loaded above full
+/// utilisation.  `tentative` holds the candidate together with every
+/// admitted flow that shares a node with the candidate's path (the whole
+/// admitted set qualifies).  The admitted flows must be clean under
+/// validate(), so checking the candidate alone finds the issue a check
+/// of the whole tentative set would.  Returns the rejection reason, or
+/// an empty string when every gate passes.
+[[nodiscard]] std::string structural_rejection(
+    const model::SporadicFlow& candidate, bool name_taken,
+    const model::FlowSet& tentative);
+
 /// Outcome of one shard-routed admission request.  Field semantics match
 /// admission::Decision (same reason strings, same candidate_bound rule);
 /// `violating` lists the same *set* of names the global analysis would,
@@ -131,9 +145,9 @@ class ShardedAnalyzer {
   /// candidate's path touches (plus the candidate) on a scratch copy of
   /// the target cache, checks every *other* shard's standing verdict in
   /// O(shards), and commits the merge + analysed state only on success.
-  /// Decision-equivalent to admission::evaluate() on the whole set (the
-  /// shard-equivalence battery pins it); a rejection leaves every shard
-  /// lineage untouched — unlike the pre-shard controller, a rejected
+  /// Decision-equivalent to analysing the whole set plus the candidate
+  /// (the shard-equivalence battery pins it); a rejection leaves every
+  /// shard lineage untouched — unlike the pre-shard controller, a rejected
   /// candidate cannot poison the warm-start cache.
   AdmitOutcome admit(const model::SporadicFlow& candidate);
 

@@ -31,18 +31,18 @@ std::string big_set_text() {
   return model::serialize_flow_set(model::make_random(cfg, rng));
 }
 
-/// A mixed script exercising batching, both analysis properties, memo
-/// hits, mutation, admission and the metrics dump over two sessions.
+/// A mixed script exercising back-to-back analyzes, both analysis
+/// properties, memo hits, mutation, admission and the metrics dump over
+/// two sessions.
 std::vector<std::string> script(const std::string& big) {
   std::vector<std::string> s;
   s.push_back(load_line("paper", paper_text()));
   s.push_back(load_line("big", big));
-  // One coalesced batch over both sessions (equal options), with a
-  // repeat that hits the memo.
+  // Both sessions under equal options, with a repeat that hits the memo.
   s.push_back(analyze_line("paper"));
   s.push_back(analyze_line("big"));
   s.push_back(analyze_line("paper"));
-  // Option change splits the batch.
+  // Option changes miss the memo.
   s.push_back(analyze_line("paper", true));
   s.push_back(
       R"({"op":"analyze","session":"big","smax":"completion","id":"c1"})");
@@ -119,19 +119,33 @@ TEST(Determinism, ResponsesStayInArrivalOrder) {
   }
 }
 
-/// The batch size (how many analyzes coalesce before the batch closes)
-/// must not change response bytes either — only latency.
-TEST(Determinism, BatchBoundariesNeverChangeResponseBytes) {
-  const std::vector<std::string> lines = {
-      load_line("p", paper_text()), analyze_line("p"), analyze_line("p", true),
-      analyze_line("p"),            analyze_line("p"),
-  };
-  ServiceConfig batched = test_config(2);
-  ServiceConfig unbatched = test_config(2);
-  unbatched.max_batch = 1;
-  Loopback a(std::move(batched));
-  Loopback b(std::move(unbatched));
-  EXPECT_EQ(a.roundtrip(lines), b.roundtrip(lines));
+/// Pipelining must not change response bytes: the whole script submitted
+/// at once answers exactly like one request() per line.
+TEST(Determinism, PipelinedRoundtripMatchesOneRequestPerLine) {
+  const std::string big = big_set_text();
+  const std::vector<std::string> lines = script(big);
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    obs::Telemetry telemetry;
+    Loopback lb(test_config(workers), &telemetry);
+    std::string one_by_one;
+    for (const std::string& l : lines) {
+      one_by_one += lb.request(l);
+      one_by_one += '\n';
+    }
+    EXPECT_EQ(transcript(lines, workers), one_by_one) << "workers=" << workers;
+  }
+}
+
+/// `analyze` runs its engine with ServiceConfig::workers, like `admit`.
+TEST(Determinism, AnalyzeRunsTheEngineWithTheServiceWorkerCount) {
+  Loopback lb(test_config(4));
+  (void)lb.request(load_line("p", paper_text()));
+  const std::string r = lb.request(analyze_line("p"));
+  EXPECT_NE(r.find("\"cached\":false"), std::string::npos) << r;
+  Session* sess = lb.service().sessions().find("p");
+  ASSERT_NE(sess, nullptr);
+  EXPECT_EQ(sess->telemetry.metrics.gauge_value("trajectory.workers"), 4);
 }
 
 }  // namespace

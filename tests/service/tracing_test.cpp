@@ -270,7 +270,7 @@ TEST(Tracing, DeadlineMissDumpsTheFlightRecorder) {
   cfg.flight_recorder_depth = 8;
   Loopback lb(std::move(cfg));
   // The counter clock advances 1ms per reading, so a 0ms deadline has
-  // always expired by the time the batch closes.
+  // always expired by the time the analyze reads the clock again.
   const std::vector<std::string> responses = lb.roundtrip({
       load_line("paper", paper_text()),
       R"({"op":"analyze","session":"paper","deadline_ms":0,"trace_id":"late-1"})",
