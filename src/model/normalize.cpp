@@ -1,6 +1,7 @@
 #include "model/normalize.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <string>
@@ -91,15 +92,66 @@ void violation_positions(const Path& pi, const Path& pf,
   }
 }
 
+/// Calls visit(f, i) for every ordered pair of distinct flows whose paths
+/// share at least two nodes, generated from the node -> flows index in
+/// O(sum_h |flows at h|^2) rather than by walking all n^2 pairs.  Stops
+/// early, returning false, as soon as a visit returns false.
+///
+/// The pairs left out cannot matter to Assumption 1.  When P_f meets P_i
+/// in at most one node, the scan of P_f in first_violation() and
+/// violation_positions() sees at most one position on P_i: one run of
+/// length one, with no step to set or reverse a direction and no second
+/// run to re-enter.  Such a pair yields no violation and no cut, so
+/// skipping it leaves the verdict, every round's cut sets and hence the
+/// whole NormalisationReport unchanged (docs/math.md, "Which pairs
+/// Assumption 1 can see").  The cut sets are std::sets, so the order in
+/// which pairs are visited does not matter either.
+template <typename Visit>
+bool for_each_overlapping_pair(const FlowSet& set, Visit&& visit) {
+  const std::vector<std::vector<FlowIndex>> by_node = flows_by_node(set);
+  std::vector<std::uint32_t> shared(set.size(), 0);
+  std::vector<FlowIndex> met;
+  for (std::size_t f = 0; f < set.size(); ++f) {
+    const auto ff = static_cast<FlowIndex>(f);
+    met.clear();
+    for (const NodeId h : set.flow(ff).path().nodes())
+      for (const FlowIndex i : by_node[static_cast<std::size_t>(h)])
+        if (i != ff && shared[static_cast<std::size_t>(i)]++ == 0)
+          met.push_back(i);
+    bool go = true;
+    for (const FlowIndex i : met) {
+      if (go && shared[static_cast<std::size_t>(i)] >= 2) go = visit(ff, i);
+      shared[static_cast<std::size_t>(i)] = 0;
+    }
+    if (!go) return false;
+  }
+  return true;
+}
+
+/// Per-node load sum_j C_j^h of `set`: the per-hop term of the crude
+/// split-jitter bound.
+std::vector<Duration> node_loads(const FlowSet& set) {
+  std::vector<Duration> load(
+      static_cast<std::size_t>(set.network().node_count()), 0);
+  for (const SporadicFlow& f : set.flows())
+    for (std::size_t k = 0; k < f.path().size(); ++k) {
+      const auto hu = static_cast<std::size_t>(f.path().at(k));
+      if (hu >= load.size()) load.resize(hu + 1, 0);
+      load[hu] += f.cost_at_position(k);
+    }
+  return load;
+}
+
 /// Crude conservative bound on the extra arrival uncertainty accumulated
 /// over the first `k` hops of `flow`: one packet of every flow sharing
-/// each hop plus the per-link slack.
-Duration crude_prefix_jitter(const FlowSet& set, const SporadicFlow& flow,
-                             std::size_t k) {
+/// each hop (`load`, from node_loads()) plus the per-link slack.
+Duration crude_prefix_jitter(const FlowSet& set,
+                             const std::vector<Duration>& load,
+                             const SporadicFlow& flow, std::size_t k) {
   Duration j = 0;
   for (std::size_t p = 0; p < k; ++p) {
     const NodeId h = flow.path().at(p);
-    for (const SporadicFlow& other : set.flows()) j += other.cost_on(h);
+    j += load[static_cast<std::size_t>(h)];
     if (p + 1 < flow.path().size()) {
       const NodeId next = flow.path().at(p + 1);
       j += set.network().link_lmax(h, next) - set.network().link_lmin(h, next);
@@ -111,14 +163,9 @@ Duration crude_prefix_jitter(const FlowSet& set, const SporadicFlow& flow,
 }  // namespace
 
 bool satisfies_assumption1(const FlowSet& set) {
-  for (std::size_t i = 0; i < set.size(); ++i)
-    for (std::size_t j = 0; j < set.size(); ++j) {
-      if (i == j) continue;
-      if (first_violation(set.flow(static_cast<FlowIndex>(i)).path(),
-                          set.flow(static_cast<FlowIndex>(j)).path()))
-        return false;
-    }
-  return true;
+  return for_each_overlapping_pair(set, [&](FlowIndex j, FlowIndex i) {
+    return !first_violation(set.flow(i).path(), set.flow(j).path());
+  });
 }
 
 // The normalisation is *canonical*: every round computes, from one
@@ -143,17 +190,23 @@ NormalisationReport normalise(const FlowSet& set, SplitJitterPolicy policy) {
     changed = false;
 
     // Snapshot the current paths, then compute every flow's cuts against
-    // every other path.
+    // every other path it shares two or more nodes with.
     const std::size_t n = fs.size();
     std::vector<std::set<std::size_t>> cuts(n);
-    for (std::size_t f = 0; f < n; ++f) {
-      const Path& pf = fs.flow(static_cast<FlowIndex>(f)).path();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i == f) continue;
-        violation_positions(fs.flow(static_cast<FlowIndex>(i)).path(), pf,
-                            cuts[f]);
-      }
-    }
+    for_each_overlapping_pair(fs, [&](FlowIndex f, FlowIndex i) {
+      violation_positions(fs.flow(i).path(), fs.flow(f).path(),
+                          cuts[static_cast<std::size_t>(f)]);
+      return true;
+    });
+
+    // The crude split jitter reads the snapshot's per-node load.  It is
+    // also the load of the set while the cuts below are applied: every
+    // split replaces a path by segments that partition it, and a tail's
+    // jitter is computed over the prefix its head and earlier tails
+    // already cover.
+    const std::vector<Duration> load =
+        policy == SplitJitterPolicy::kInflateCrude ? node_loads(fs)
+                                                   : std::vector<Duration>{};
 
     // Apply all cuts (descending flow index keeps earlier indices valid;
     // appended tails join the next round).
@@ -182,7 +235,8 @@ NormalisationReport normalise(const FlowSet& set, SplitJitterPolicy policy) {
         const Duration tail_jitter =
             policy == SplitJitterPolicy::kKeepOriginal
                 ? original.jitter()
-                : original.jitter() + crude_prefix_jitter(fs, original, from);
+                : original.jitter() +
+                      crude_prefix_jitter(fs, load, original, from);
         SporadicFlow tail = original.split_tail(from, tail_jitter);
         if (b + 1 < bounds.size()) {
           TFA_ASSERT(bounds[b + 1] > from);

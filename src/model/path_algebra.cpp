@@ -7,7 +7,27 @@
 
 namespace tfa::model {
 
-FlowSetGeometry::FlowSetGeometry(const FlowSet& set) : set_(&set) {
+namespace {
+
+/// The geometry of every disjoint pair.
+constexpr PairGeometry kDisjoint{};
+
+}  // namespace
+
+std::vector<std::vector<FlowIndex>> flows_by_node(const FlowSet& set) {
+  std::vector<std::vector<FlowIndex>> by_node(
+      static_cast<std::size_t>(set.network().node_count()));
+  for (std::size_t i = 0; i < set.size(); ++i)
+    for (const NodeId h : set.flow(static_cast<FlowIndex>(i)).path().nodes()) {
+      const auto hu = static_cast<std::size_t>(h);
+      if (hu >= by_node.size()) by_node.resize(hu + 1);
+      by_node[hu].push_back(static_cast<FlowIndex>(i));
+    }
+  return by_node;
+}
+
+FlowSetGeometry::FlowSetGeometry(const FlowSet& set)
+    : set_(&set), by_node_(flows_by_node(set)) {
   const std::size_t n = set.size();
   const auto node_count = static_cast<std::size_t>(set.network().node_count());
 
@@ -22,18 +42,41 @@ FlowSetGeometry::FlowSetGeometry(const FlowSet& set) : set_(&set) {
     }
   }
 
-  full_pairs_.resize(n * n);
+  // Interferers of i: the union of flows_at(h) over h on P_i, minus i.
   full_interferers_.resize(n);
+  std::vector<char> seen(n, 0);
+  std::size_t pair_count = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<FlowIndex>& nbrs = full_interferers_[i];
+    for (const NodeId h : set.flow(static_cast<FlowIndex>(i)).path().nodes())
+      for (const FlowIndex j : by_node_[static_cast<std::size_t>(h)]) {
+        const auto ju = static_cast<std::size_t>(j);
+        if (ju == i || seen[ju] != 0) continue;
+        seen[ju] = 1;
+        nbrs.push_back(j);
+      }
+    std::sort(nbrs.begin(), nbrs.end());
+    for (const FlowIndex j : nbrs) seen[static_cast<std::size_t>(j)] = 0;
+    pair_count += nbrs.size();
+  }
+
+  row_begin_.resize(n);
+  full_pairs_.reserve(pair_count);
   for (std::size_t i = 0; i < n; ++i) {
     const auto fi = static_cast<FlowIndex>(i);
     const std::size_t len = set.flow(fi).path().size();
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto fj = static_cast<FlowIndex>(j);
-      full_pairs_[i * n + j] = compute_pair(fi, fj, len);
-      if (i != j && full_pairs_[i * n + j].intersects)
-        full_interferers_[i].push_back(fj);
+    row_begin_[i] = full_pairs_.size();
+    full_pairs_.push_back(compute_pair(fi, fi, len));
+    for (const FlowIndex j : full_interferers_[i]) {
+      full_pairs_.push_back(compute_pair(fi, j, len));
+      TFA_ASSERT(full_pairs_.back().intersects);
     }
   }
+}
+
+const std::vector<FlowIndex>& FlowSetGeometry::flows_at(NodeId node) const {
+  TFA_EXPECTS(node >= 0 && static_cast<std::size_t>(node) < by_node_.size());
+  return by_node_[static_cast<std::size_t>(node)];
 }
 
 std::ptrdiff_t FlowSetGeometry::position(FlowIndex i, NodeId node) const {
@@ -91,8 +134,13 @@ const PairGeometry& FlowSetGeometry::pair(FlowIndex i, FlowIndex j) const {
   const std::size_t n = set_->size();
   TFA_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < n);
   TFA_EXPECTS(j >= 0 && static_cast<std::size_t>(j) < n);
-  return full_pairs_[static_cast<std::size_t>(i) * n +
-                     static_cast<std::size_t>(j)];
+  const auto iu = static_cast<std::size_t>(i);
+  const PairGeometry* row = &full_pairs_[row_begin_[iu]];
+  if (i == j) return row[0];
+  const std::vector<FlowIndex>& nbrs = full_interferers_[iu];
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), j);
+  if (it == nbrs.end() || *it != j) return kDisjoint;
+  return row[1 + static_cast<std::size_t>(it - nbrs.begin())];
 }
 
 Duration FlowSetGeometry::smin(FlowIndex i, std::size_t pos) const {
@@ -112,7 +160,6 @@ Duration FlowSetGeometry::m_term(FlowIndex i, std::size_t pos,
   TFA_EXPECTS(pos < prefix_i && prefix_i <= fi.path().size());
   TFA_EXPECTS(mask == nullptr || (mask->size() == set_->size() &&
                                   (*mask)[static_cast<std::size_t>(i)]));
-  const std::size_t n = set_->size();
 
   Duration total = 0;
   for (std::size_t k = 0; k < pos; ++k) {
@@ -120,11 +167,9 @@ Duration FlowSetGeometry::m_term(FlowIndex i, std::size_t pos,
     // Minimum processing time at h among same-direction flows visiting it.
     // tau_i itself always qualifies, so the min is over a non-empty set.
     Duration mn = std::numeric_limits<Duration>::max();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (mask != nullptr && !(*mask)[j]) continue;
-      const auto fj = static_cast<FlowIndex>(j);
+    for (const FlowIndex fj : flows_at(h)) {
+      if (mask != nullptr && !(*mask)[static_cast<std::size_t>(fj)]) continue;
       const std::ptrdiff_t pj = position(fj, h);
-      if (pj < 0) continue;
       const PairGeometry g = pair(i, fj, prefix_i);
       if (!g.intersects || !g.same_direction) continue;
       mn = std::min(mn,
@@ -143,14 +188,11 @@ Duration FlowSetGeometry::max_joiner_cost(FlowIndex i, std::size_t pos,
   TFA_EXPECTS(pos < prefix_i && prefix_i <= fi.path().size());
   TFA_EXPECTS(mask == nullptr || mask->size() == set_->size());
   const NodeId h = fi.path().at(pos);
-  const std::size_t n = set_->size();
 
   Duration mx = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (mask != nullptr && !(*mask)[j]) continue;
-    const auto fj = static_cast<FlowIndex>(j);
+  for (const FlowIndex fj : flows_at(h)) {
+    if (mask != nullptr && !(*mask)[static_cast<std::size_t>(fj)]) continue;
     const std::ptrdiff_t pj = position(fj, h);
-    if (pj < 0) continue;
     const PairGeometry g = pair(i, fj, prefix_i);
     if (!g.intersects || !g.same_direction) continue;
     mx = std::max(mx,
@@ -162,14 +204,12 @@ Duration FlowSetGeometry::max_joiner_cost(FlowIndex i, std::size_t pos,
 std::vector<FlowIndex> FlowSetGeometry::interferers(FlowIndex i,
                                                     std::size_t prefix_i) const {
   const std::size_t len = set_->flow(i).path().size();
-  if (prefix_i == len) return full_interferers_[static_cast<std::size_t>(i)];
+  const std::vector<FlowIndex>& full = interferers(i);
+  if (prefix_i == len) return full;
+  // A flow that misses P_i misses every prefix of it too.
   std::vector<FlowIndex> out;
-  const std::size_t n = set_->size();
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto fj = static_cast<FlowIndex>(j);
-    if (fj == i) continue;
+  for (const FlowIndex fj : full)
     if (pair(i, fj, prefix_i).intersects) out.push_back(fj);
-  }
   return out;
 }
 

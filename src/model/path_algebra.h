@@ -12,6 +12,10 @@
 // flow: the Smax recursion of the trajectory approach applies Property 2
 // to truncated paths, and truncation changes which flows intersect and
 // where they join.
+//
+// Every quantity above is defined over P_i∩P_j, so only flows that share
+// a node are coupled.  Pairs are therefore generated from a node -> flows
+// index, never by walking all n^2 flow pairs.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +41,19 @@ struct PairGeometry {
   Duration c_slow_ji = 0;    ///< C_j^{slow_{j,i}} (0 when no intersection).
 };
 
+/// The node -> flows index of `set`: entry h lists, in ascending order,
+/// the flows whose path visits node h.  Sized to the network's node count
+/// (larger when a path names a node id beyond it).
+[[nodiscard]] std::vector<std::vector<FlowIndex>> flows_by_node(
+    const FlowSet& set);
+
 /// Precomputed geometry over a FlowSet.  The referenced FlowSet must
 /// outlive the geometry and must not be mutated while in use.
+///
+/// Storage is O(n + sum_i |interferers(i)|), not O(n^2): for every flow i
+/// the geometry keeps the self pair and one PairGeometry per full-path
+/// interferer.  Every other pair is disjoint, and its geometry is the
+/// default PairGeometry (intersects false, kNoNode fields, c_slow_ji 0).
 class FlowSetGeometry {
  public:
   explicit FlowSetGeometry(const FlowSet& set);
@@ -48,6 +63,10 @@ class FlowSetGeometry {
     return set_->size();
   }
 
+  /// Flows whose path visits `node`, in ascending order (empty when no
+  /// flow visits it).
+  [[nodiscard]] const std::vector<FlowIndex>& flows_at(NodeId node) const;
+
   /// Position of `node` on P_i, or -1 when tau_i does not visit it.
   [[nodiscard]] std::ptrdiff_t position(FlowIndex i, NodeId node) const;
 
@@ -56,7 +75,8 @@ class FlowSetGeometry {
   [[nodiscard]] PairGeometry pair(FlowIndex i, FlowIndex j,
                                   std::size_t prefix_i) const;
 
-  /// Geometry relative to the full P_i (cached).
+  /// Geometry relative to the full P_i (cached; a disjoint pair reads a
+  /// shared default PairGeometry).
   [[nodiscard]] const PairGeometry& pair(FlowIndex i, FlowIndex j) const;
 
   /// Smin_i^{P_i[pos]}: minimum time from generation to arrival on the
@@ -93,8 +113,13 @@ class FlowSetGeometry {
 
   const FlowSet* set_;
   std::vector<std::vector<std::ptrdiff_t>> pos_;   // [flow][node] -> position
-  std::vector<PairGeometry> full_pairs_;           // [i * n + j]
-  std::vector<std::vector<FlowIndex>> full_interferers_;  // [i]
+  std::vector<std::vector<FlowIndex>> by_node_;    // [node] -> flows, ascending
+  std::vector<std::vector<FlowIndex>> full_interferers_;  // [i], ascending
+  // Full-path pair geometry, row by row: row i starts at row_begin_[i]
+  // with the self pair, followed by one entry per full_interferers_[i]
+  // element, in the same order.
+  std::vector<std::size_t> row_begin_;
+  std::vector<PairGeometry> full_pairs_;
 };
 
 }  // namespace tfa::model

@@ -44,12 +44,16 @@ Tracer::Tracer(Clock clock) : clock_(std::move(clock)) {
 }
 
 Span Tracer::span(std::string_view name) {
+  auto it = names_.find(name);
+  if (it == names_.end()) it = names_.emplace(name).first;
+  if (!context_.empty() && context_view_.empty())
+    context_view_ = traces_.emplace_back(context_);
   Event e;
-  e.name = std::string(name);
+  e.name = *it;
   e.start_ns = clock_();
   e.depth = open_depth_++;
-  e.trace = context_;
-  events_.push_back(std::move(e));
+  e.trace = context_view_;
+  events_.push_back(e);
   return Span(this, events_.size() - 1);
 }
 

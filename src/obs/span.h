@@ -18,10 +18,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <set>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace tfa::obs {
 
@@ -63,6 +64,13 @@ class Tracer {
   /// Injects an explicit clock (tests, replay).
   explicit Tracer(Clock clock);
 
+  // Events view storage the tracer owns, so a copy would view the
+  // original's; moves keep that storage in place.
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
+  Tracer(Tracer&&) = default;
+  Tracer& operator=(Tracer&&) = default;
+
   /// Opens a span; it closes when the returned handle dies.
   [[nodiscard]] Span span(std::string_view name);
 
@@ -71,23 +79,32 @@ class Tracer {
   /// phase tree (service op -> settle -> Smax passes) is
   /// reconstructable from the trace file.  The service sets this around
   /// each request's execution; engines never touch it.
-  void set_context(std::string_view trace_id) { context_ = trace_id; }
-  void clear_context() noexcept { context_.clear(); }
+  void set_context(std::string_view trace_id) {
+    context_ = trace_id;
+    context_view_ = {};
+  }
+  void clear_context() noexcept {
+    context_.clear();
+    context_view_ = {};
+  }
   [[nodiscard]] const std::string& context() const noexcept {
     return context_;
   }
 
-  /// One completed (or still open, dur < 0) span.
+  /// One completed (or still open, dur < 0) span.  `name` and `trace`
+  /// view strings the tracer keeps, valid for the tracer's lifetime: a
+  /// long-lived session tracer then pays no allocation per span.
   struct Event {
-    std::string name;
+    std::string_view name;
     std::int64_t start_ns = 0;
     std::int64_t dur_ns = -1;  ///< -1 while open.
     std::size_t depth = 0;     ///< Nesting level at begin time.
-    std::string trace;         ///< Trace context at begin time ("" if none).
+    std::string_view trace;    ///< Trace context at begin time ("" if none).
   };
 
-  /// All spans, in begin order.
-  [[nodiscard]] const std::vector<Event>& events() const noexcept {
+  /// All spans, in begin order.  A deque, so that recording never copies
+  /// the spans already recorded.
+  [[nodiscard]] const std::deque<Event>& events() const noexcept {
     return events_;
   }
 
@@ -104,9 +121,15 @@ class Tracer {
   void close(std::size_t index);
 
   Clock clock_;
-  std::vector<Event> events_;
+  std::deque<Event> events_;
   std::size_t open_depth_ = 0;
   std::string context_;
+  // The storage events view: each distinct span name once, and the trace
+  // context once per context window in which a span opened
+  // (context_view_ is that copy, empty until the window's first span).
+  std::set<std::string, std::less<>> names_;
+  std::deque<std::string> traces_;
+  std::string_view context_view_;
 };
 
 }  // namespace tfa::obs

@@ -94,8 +94,6 @@ Result analyze(const model::FlowSet& set, const Config& cfg) {
 Result analyze(const model::FlowSet& set, const Config& cfg,
                obs::Telemetry* telemetry) {
   TFA_EXPECTS(!set.empty());
-  const auto issues = set.validate();
-  TFA_EXPECTS_MSG(issues.empty(), issues.front().message.c_str());
 
   // All accounting flows through a registry — EngineStats is a view over
   // it (stats_view).  With no caller-supplied telemetry a run-local one
@@ -107,6 +105,11 @@ Result analyze(const model::FlowSet& set, const Config& cfg,
   const EngineStats before = stats_view(t->metrics);
 
   obs::Span analyze_span = obs::span(t, "trajectory.analyze");
+  {
+    obs::Span validate_span = obs::span(t, "trajectory.validate");
+    const auto issues = set.validate();
+    TFA_EXPECTS_MSG(issues.empty(), issues.front().message.c_str());
+  }
 
   const model::NormalisationReport norm = [&] {
     obs::Span norm_span = obs::span(t, "trajectory.normalise");

@@ -26,9 +26,9 @@ namespace tfa::trajectory {
 [[nodiscard]] Result analyze(const model::FlowSet& set, const Config& cfg = {});
 
 /// analyze() with an observability sink: spans ("trajectory.analyze" >
-/// normalise / engine / compose), convergence series, and the run's work
-/// counters land in `telemetry` (accumulating — a long-lived Telemetry
-/// collects totals across calls).  Result::stats always reports THIS
+/// validate / normalise / engine / compose), convergence series, and the
+/// run's work counters land in `telemetry` (accumulating — a long-lived
+/// Telemetry collects totals across calls).  Result::stats always reports THIS
 /// call's share only, however many runs the registry has seen.  nullptr
 /// behaves exactly like the two-argument overload.
 [[nodiscard]] Result analyze(const model::FlowSet& set, const Config& cfg,

@@ -104,8 +104,6 @@ void AnalysisCache::clear() {
 Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
                       const Config& cfg, obs::Telemetry* telemetry) {
   TFA_EXPECTS(!set.empty());
-  const auto issues = set.validate();
-  TFA_EXPECTS_MSG(issues.empty(), issues.front().message.c_str());
 
   // Registry-first accounting, like analyze(): a run-local Telemetry
   // stands in when the caller passes none, and Result::stats is the delta
@@ -115,6 +113,11 @@ Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
   obs::Telemetry* t = telemetry != nullptr ? telemetry : &local;
   const EngineStats before = stats_view(t->metrics);
   obs::Span reanalyze_span = obs::span(t, "trajectory.reanalyze");
+  {
+    obs::Span validate_span = obs::span(t, "trajectory.validate");
+    const auto issues = set.validate();
+    TFA_EXPECTS_MSG(issues.empty(), issues.front().message.c_str());
+  }
 
   const model::NormalisationReport norm = [&] {
     obs::Span norm_span = obs::span(t, "trajectory.normalise");

@@ -18,18 +18,15 @@ Duration non_preemption_delay(const model::FlowSetGeometry& geo, FlowIndex i,
   const model::SporadicFlow& fi = set.flow(i);
   TFA_EXPECTS(prefix >= 1 && prefix <= fi.path().size());
 
-  const std::size_t n = set.size();
-
   Duration delta = 0;
   for (std::size_t pos = 0; pos < prefix; ++pos) {
     const NodeId h = fi.path().at(pos);
 
     Duration worst = 0;  // the (.)^+ of an empty max is 0
-    for (std::size_t j = 0; j < n; ++j) {
-      if (ef_mask[j]) continue;  // only non-EF traffic blocks
-      const auto fj = static_cast<FlowIndex>(j);
+    for (const FlowIndex fj : geo.flows_at(h)) {
+      // Only non-EF traffic blocks.
+      if (ef_mask[static_cast<std::size_t>(fj)]) continue;
       const std::ptrdiff_t pj = geo.position(fj, h);
-      if (pj < 0) continue;
       const model::PairGeometry g = geo.pair(i, fj, prefix);
       TFA_ASSERT(g.intersects);
 

@@ -59,6 +59,19 @@ struct StepCursor {
   std::int64_t k = 0;
 };
 
+/// The engine's geometry, built under "trajectory.geometry" once the
+/// Assumption-1 precondition has been checked under
+/// "trajectory.assumption1".
+model::FlowSetGeometry checked_geometry(const model::FlowSet& set,
+                                        obs::Telemetry* tel) {
+  {
+    obs::Span assumption1_span = obs::span(tel, "trajectory.assumption1");
+    TFA_EXPECTS(model::satisfies_assumption1(set));
+  }
+  obs::Span geometry_span = obs::span(tel, "trajectory.geometry");
+  return model::FlowSetGeometry(set);
+}
+
 }  // namespace
 
 Engine::Engine(const model::FlowSet& set, const Config& cfg)
@@ -73,8 +86,13 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles)
 
 Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
                const EngineOptions& opts)
-    : set_(set), cfg_(cfg), geometry_(set) {
-  TFA_EXPECTS(model::satisfies_assumption1(set));
+    : Engine(set, cfg, std::move(roles), opts,
+             obs::span(opts.telemetry, "trajectory.engine")) {}
+
+Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
+               const EngineOptions& opts, obs::Span /*engine_span*/)
+    : set_(set), cfg_(cfg),
+      geometry_(checked_geometry(set, opts.telemetry)) {
   workers_ = cfg_.workers == 0 ? default_worker_count() : cfg_.workers;
 
   const std::size_t n = set.size();
@@ -132,19 +150,21 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
     }
   }
 
+  obs::Telemetry* tel = opts.telemetry;
+
   // Static per-(flow, prefix) inputs of prefix_bound(): computed once,
   // here, instead of on every call of every pass (they are all
   // Smax-free).  Rows are disjoint, so the parallel build is
   // deterministic for every worker count.
-  build_prefix_contexts();
+  {
+    obs::Span contexts_span = obs::span(tel, "trajectory.contexts");
+    build_prefix_contexts();
+  }
 
   // Per-flow stat partials, merged in index order below so every counter
   // is independent of the worker schedule.
-  obs::Telemetry* tel = opts.telemetry;
   const bool instrument = opts.stats != nullptr || tel != nullptr;
   std::vector<EngineStats> partials(instrument ? n : 0);
-
-  obs::Span engine_span = obs::span(tel, "trajectory.engine");
 
   const auto fp_start = std::chrono::steady_clock::now();
   {

@@ -27,6 +27,7 @@
 #include "base/types.h"
 #include "model/flow_set.h"
 #include "model/path_algebra.h"
+#include "obs/span.h"
 #include "trajectory/soa.h"
 #include "trajectory/stats.h"
 #include "trajectory/types.h"
@@ -80,7 +81,9 @@ struct EngineOptions {
   /// violation and aborts via the monotonicity assert.
   std::function<Duration(FlowIndex, std::size_t)> warm_seed;
   /// When non-null, the run additionally records spans
-  /// ("trajectory.engine" > "trajectory.fixed_point" /
+  /// ("trajectory.engine", covering the whole construction, >
+  /// "trajectory.assumption1" / "trajectory.geometry" /
+  /// "trajectory.contexts" / "trajectory.fixed_point" /
   /// "trajectory.extract"), phase-split work counters, per-pass Smax
   /// convergence series ("trajectory.smax.residual" / ".changed_rows" /
   /// ".bp_iterations") and the per-flow Lemma-3 busy-period iterate
@@ -197,6 +200,13 @@ class Engine {
     Duration own_cost = 0;        ///< C_i^{slow_i} (own-term cost).
     std::vector<TermStatic> terms;
   };
+
+  /// The explicit-everything constructor, run inside the already open
+  /// "trajectory.engine" span: the span must open before the member
+  /// initialisers build the geometry, so the public constructor opens it
+  /// and hands it here; it closes when construction ends.
+  Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
+         const EngineOptions& opts, obs::Span engine_span);
 
   void build_prefix_contexts();
 

@@ -52,11 +52,9 @@ Explanation explain(const Engine& engine, FlowIndex i) {
   // Interferer terms (the A_{i,j} recomputation mirrors the engine; a
   // consistency test asserts the total reproduces Engine::bound).
   Duration interference = 0;
-  for (std::size_t j = 0; j < set.size(); ++j) {
-    const auto fj = static_cast<FlowIndex>(j);
-    if (fj == i || !mask[j]) continue;
+  for (const FlowIndex fj : geo.interferers(i)) {
+    if (!mask[static_cast<std::size_t>(fj)]) continue;
     const model::PairGeometry& g = geo.pair(i, fj);
-    if (!g.intersects) continue;
     const model::SporadicFlow& flow_j = set.flow(fj);
 
     const auto pos_i_fji = static_cast<std::size_t>(geo.position(i, g.first_ji));

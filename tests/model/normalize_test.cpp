@@ -80,6 +80,37 @@ TEST(Assumption1, OneSidedViolationSplitsOnlyTheCrosser) {
   EXPECT_EQ(report.flow_set.flow(2).path(), (Path{3, 7}));
 }
 
+TEST(Assumption1, OneSharedNodeNeverViolatesInEitherOrder) {
+  // The normaliser visits only pairs sharing two or more nodes: with one
+  // shared node there is neither a second run nor a direction to
+  // reverse.  A crossing at one node is compliant whichever flow comes
+  // first, while a re-entry over two shared nodes is still caught (tau_i
+  // meets P_reenter in one run, so only the re-entering flow splits).
+  const SporadicFlow i("i", Path{0, 1, 3, 2}, 100, 4, 0, 400);
+  const SporadicFlow cross("cross", Path{4, 2, 5}, 100, 4, 0, 400);
+  const SporadicFlow reenter("reenter", Path{1, 6, 3, 7}, 100, 4, 0, 400);
+  for (const bool swapped : {false, true}) {
+    SCOPED_TRACE(swapped ? "swapped" : "in order");
+    FlowSet one(Network(8, 1, 1));
+    one.add(swapped ? cross : i);
+    one.add(swapped ? i : cross);
+    EXPECT_TRUE(satisfies_assumption1(one));
+    EXPECT_EQ(normalise(one).split_count, 0u);
+
+    FlowSet two(Network(8, 1, 1));
+    two.add(swapped ? reenter : i);
+    two.add(swapped ? i : reenter);
+    EXPECT_FALSE(satisfies_assumption1(two));
+    const auto report = normalise(two);
+    EXPECT_EQ(report.split_count, 1u);
+    EXPECT_TRUE(satisfies_assumption1(report.flow_set));
+    const std::size_t r = swapped ? 0 : 1;
+    EXPECT_EQ(report.flow_set.flow(static_cast<FlowIndex>(r)).path(),
+              (Path{1, 6}));
+    EXPECT_EQ(report.flow_set.flow(2).path(), (Path{3, 7}));
+  }
+}
+
 /// A zig-zag: tau_j stays on P_i but reverses direction half-way.
 TEST(Assumption1, DetectsZigZagInsideSharedSegment) {
   FlowSet set(Network(6, 1, 1));

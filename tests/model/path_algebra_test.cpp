@@ -2,6 +2,9 @@
 // turned into assertions, plus the cumulative Smin / M_i^h quantities.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "model/paper_example.h"
 #include "model/path_algebra.h"
 
@@ -61,13 +64,45 @@ TEST(PairGeometry, SingleSharedNodeCountsAsSameDirection) {
 }
 
 TEST(PairGeometry, DisjointPathsDoNotIntersect) {
+  // The geometry stores only coupled pairs; a disjoint pair reads the
+  // default PairGeometry, which is exactly what an all-pairs table holds.
   FlowSet set(Network(6, 1, 1));
-  set.add(SporadicFlow("i", Path{0, 1}, 50, 4, 0, 100));
-  set.add(SporadicFlow("j", Path{2, 3}, 50, 4, 0, 100));
+  set.add(SporadicFlow("i", Path{0, 1, 2}, 50, 4, 0, 100));
+  set.add(SporadicFlow("j", Path{3, 4}, 50, 4, 0, 100));
+  set.add(SporadicFlow("k", Path{2, 5}, 50, 4, 0, 100));
   const FlowSetGeometry geo(set);
-  EXPECT_FALSE(geo.pair(0, 1).intersects);
-  EXPECT_EQ(geo.pair(0, 1).c_slow_ji, 0);  // the paper's 0 convention
-  EXPECT_TRUE(geo.interferers(0).empty());
+  for (const auto& [i, j] : {std::pair{0, 1}, std::pair{1, 0},
+                             std::pair{1, 2}, std::pair{2, 1}}) {
+    SCOPED_TRACE(std::to_string(i) + " vs " + std::to_string(j));
+    const PairGeometry& g = geo.pair(i, j);
+    EXPECT_FALSE(g.intersects);
+    EXPECT_EQ(g.first_ji, kNoNode);
+    EXPECT_EQ(g.last_ji, kNoNode);
+    EXPECT_EQ(g.first_ij, kNoNode);
+    EXPECT_EQ(g.last_ij, kNoNode);
+    EXPECT_FALSE(g.same_direction);
+    EXPECT_EQ(g.slow_ji, kNoNode);
+    EXPECT_EQ(g.c_slow_ji, 0);  // the paper's 0 convention
+    EXPECT_FALSE(geo.pair(i, j, 1).intersects);
+  }
+  EXPECT_TRUE(geo.interferers(1).empty());
+  EXPECT_TRUE(geo.pair(0, 2).intersects);  // a coupled pair is stored
+}
+
+TEST(PathAlgebra, FlowsAtIsAscendingAndEmptyForUnvisitedNodes) {
+  FlowSet set(Network(8, 1, 1));
+  set.add(SporadicFlow("a", Path{3, 2, 1}, 50, 4, 0, 100));
+  set.add(SporadicFlow("b", Path{0, 2}, 50, 4, 0, 100));
+  set.add(SporadicFlow("c", Path{2, 3, 5}, 50, 4, 0, 100));
+  set.add(SporadicFlow("d", Path{5, 6}, 50, 4, 0, 100));
+  const FlowSetGeometry geo(set);
+  EXPECT_EQ(geo.flows_at(2), (std::vector<FlowIndex>{0, 1, 2}));
+  EXPECT_EQ(geo.flows_at(3), (std::vector<FlowIndex>{0, 2}));
+  EXPECT_EQ(geo.flows_at(5), (std::vector<FlowIndex>{2, 3}));
+  EXPECT_EQ(geo.flows_at(0), (std::vector<FlowIndex>{1}));
+  EXPECT_TRUE(geo.flows_at(4).empty());
+  EXPECT_TRUE(geo.flows_at(7).empty());
+  EXPECT_EQ(flows_by_node(set)[2], geo.flows_at(2));
 }
 
 TEST(PairGeometry, SelfPairIsTheWholePath) {

@@ -1,10 +1,13 @@
 // Tests of the scoped span tracer (obs/span.h): deterministic timestamps
 // via clock injection, nesting depth, no-op handles, idempotent end(),
-// and a Chrome trace-event export that parses as strict JSON.
+// events that keep their interned names and traces across context
+// windows and moves, and a Chrome trace-event export that parses as
+// strict JSON.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "base/json.h"
@@ -94,6 +97,33 @@ TEST(Span, DepthRecoversAfterSiblings) {
   EXPECT_EQ(ev[1].depth, 1u);  // b under a
   EXPECT_EQ(ev[2].depth, 1u);  // c under a, sibling of b
   EXPECT_EQ(ev[3].depth, 0u);  // d top-level again
+}
+
+TEST(Tracer, EventsKeepNamesAndTracesAcrossContextsAndMoves) {
+  Tracer tracer = counter_tracer();
+  std::string name = "phase";  // the tracer keeps its own copy
+  tracer.set_context("req-1");
+  { Span a = tracer.span(name); }
+  { Span b = tracer.span(name); }
+  tracer.set_context("req-2");
+  { Span c = tracer.span(name); }
+  tracer.clear_context();
+  { Span d = tracer.span("other"); }
+  name = "overwritten";
+
+  const Tracer moved = std::move(tracer);
+  const auto& ev = moved.events();
+  ASSERT_EQ(ev.size(), 4u);
+  EXPECT_EQ(ev[0].name, "phase");
+  EXPECT_EQ(ev[0].trace, "req-1");
+  EXPECT_EQ(ev[1].trace, "req-1");
+  EXPECT_EQ(ev[2].name, "phase");
+  EXPECT_EQ(ev[2].trace, "req-2");
+  EXPECT_EQ(ev[3].name, "other");
+  EXPECT_TRUE(ev[3].trace.empty());
+  // One stored copy per distinct name and per context window.
+  EXPECT_EQ(ev[0].name.data(), ev[2].name.data());
+  EXPECT_EQ(ev[0].trace.data(), ev[1].trace.data());
 }
 
 TEST(Tracer, ChromeTraceJsonParsesAndIsRelativeToFirstSpan) {

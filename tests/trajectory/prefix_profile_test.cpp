@@ -54,8 +54,11 @@ TEST(PrefixProfile, EmptyForComposedFlows) {
   set.add(SporadicFlow("i", Path{1, 2, 3, 4, 5}, 100, 4, 0, 400));
   set.add(SporadicFlow("j", Path{0, 2, 6, 4, 7}, 100, 4, 0, 400));
   const Result r = analyze(set);
-  for (const FlowBound& b : r.bounds)
-    if (b.composed) EXPECT_TRUE(b.prefix_responses.empty());
+  for (const FlowBound& b : r.bounds) {
+    if (b.composed) {
+      EXPECT_TRUE(b.prefix_responses.empty());
+    }
+  }
   // At least one flow was composed in this set.
   EXPECT_TRUE(std::any_of(r.bounds.begin(), r.bounds.end(),
                           [](const FlowBound& b) { return b.composed; }));
