@@ -23,10 +23,10 @@ AdmissionController::AdmissionController(model::Network network,
 
 void AdmissionController::attach_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
-  // A controller is long-lived: bound the convergence series so telemetry
-  // stays O(1) per request (overflow lands in the obs.series_dropped
-  // counter instead of memory).
-  if (telemetry_ != nullptr) telemetry_->metrics.set_series_capacity(4096);
+  // A controller is long-lived: bound the series and spans so telemetry
+  // cannot grow without bound (overflow lands in the obs.series_dropped /
+  // obs.spans_dropped counters instead of memory).
+  if (telemetry_ != nullptr) telemetry_->set_capacity(obs::kLongLivedCapacity);
   if (sharded_) sharded_->attach_telemetry(telemetry);
 }
 
@@ -44,32 +44,21 @@ Decision evaluate(const model::FlowSet& admitted,
       candidate, admitted.find(candidate.name()).has_value(), tentative);
   if (!d.reason.empty()) return d;
 
-  auto harvest = [&](const auto& bounds, bool converged) {
-    bool ok = converged;
-    for (const auto& b : bounds) {
-      const std::string& name = tentative.flow(b.flow).name();
-      if (name == candidate.name()) d.candidate_bound = b.response;
-      if (!b.schedulable) {
-        d.violating.push_back(name);
-        ok = false;
-      }
-    }
-    return ok;
-  };
-
   bool ok = false;
   if (kind == AnalysisKind::kHolistic) {
     const holistic::Result r = holistic::analyze(tentative, {}, telemetry);
-    ok = harvest(r.bounds, r.converged);
+    ok = trajectory::collect_verdict(r.bounds, r.converged, tentative,
+                                     candidate.name(), d.candidate_bound,
+                                     d.violating);
   } else {
     const netcalc::Result r = netcalc::analyze(tentative, {}, telemetry);
-    ok = harvest(r.bounds, r.converged);
+    ok = trajectory::collect_verdict(r.bounds, r.converged, tentative,
+                                     candidate.name(), d.candidate_bound,
+                                     d.violating);
   }
 
   if (!ok) {
-    d.reason = d.violating.empty()
-                   ? "analysis did not converge"
-                   : "deadline miss certified for: " + d.violating.front();
+    d.reason = trajectory::analysis_rejection(d.violating);
     return d;
   }
   d.admitted = true;

@@ -55,7 +55,15 @@ Histogram& MetricRegistry::histogram(std::string_view name,
 }
 
 void MetricRegistry::append_series(std::string_view name, std::int64_t value) {
-  auto& s = series_.try_emplace(std::string(name)).first->second;
+  auto it = series_.find(name);
+  if (it == series_.end()) {
+    if (series_cap_ != 0 && series_.size() >= series_cap_) {
+      ++counter("obs.series_dropped");
+      return;
+    }
+    it = series_.emplace(std::string(name), std::vector<std::int64_t>{}).first;
+  }
+  std::vector<std::int64_t>& s = it->second;
   if (series_cap_ != 0 && s.size() >= series_cap_) {
     ++counter("obs.series_dropped");
     return;

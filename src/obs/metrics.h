@@ -72,10 +72,12 @@ class MetricRegistry {
   /// Appends `value` to the named series, honouring the series cap.
   void append_series(std::string_view name, std::int64_t value);
 
-  /// Caps every series at `cap` elements; appends beyond the cap are
-  /// dropped and tallied in the `obs.series_dropped` counter.  0 (the
-  /// default) means unlimited.  Long-lived registries (e.g. an admission
-  /// controller's) set a cap so telemetry cannot grow without bound.
+  /// Caps every series at `cap` elements and the number of distinct
+  /// series names at `cap`; appends beyond either cap are dropped and
+  /// tallied in the `obs.series_dropped` counter.  0 (the default) means
+  /// unlimited.  Long-lived registries (e.g. an admission controller's or
+  /// a service session's) set a cap so telemetry cannot grow without
+  /// bound, however many distinct flows their runs see.
   void set_series_capacity(std::size_t cap) noexcept { series_cap_ = cap; }
 
   /// Read-only views, ordered by name (deterministic iteration).

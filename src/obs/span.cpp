@@ -44,6 +44,7 @@ Tracer::Tracer(Clock clock) : clock_(std::move(clock)) {
 }
 
 Span Tracer::span(std::string_view name) {
+  if (full()) return Span{};
   auto it = names_.find(name);
   if (it == names_.end()) it = names_.emplace(name).first;
   if (!context_.empty() && context_view_.empty())

@@ -71,8 +71,19 @@ class Tracer {
   Tracer(Tracer&&) = default;
   Tracer& operator=(Tracer&&) = default;
 
-  /// Opens a span; it closes when the returned handle dies.
+  /// Opens a span; it closes when the returned handle dies.  At the
+  /// capacity the span is not recorded and the handle is a no-op.
   [[nodiscard]] Span span(std::string_view name);
+
+  /// Caps the number of recorded spans at `cap`; 0 (the default) means
+  /// unlimited.  Long-lived tracers (a service session's) set a cap so
+  /// the trace cannot grow without bound.
+  void set_capacity(std::size_t cap) noexcept { cap_ = cap; }
+
+  /// True when the capacity is set and reached.
+  [[nodiscard]] bool full() const noexcept {
+    return cap_ != 0 && events_.size() >= cap_;
+  }
 
   /// Sets the trace context: spans opened from now until
   /// clear_context() record `trace_id`, so one wire request's whole
@@ -122,6 +133,7 @@ class Tracer {
 
   Clock clock_;
   std::deque<Event> events_;
+  std::size_t cap_ = 0;
   std::size_t open_depth_ = 0;
   std::string context_;
   // The storage events view: each distinct span name once, and the trace

@@ -5,6 +5,7 @@
 // the call sites.
 #pragma once
 
+#include <cstddef>
 #include <string_view>
 
 #include "obs/metrics.h"
@@ -18,11 +19,23 @@ namespace tfa::obs {
 struct Telemetry {
   MetricRegistry metrics;
   Tracer trace;
+
+  /// Bounds a long-lived sink: at most `cap` series names, `cap` values
+  /// per series and `cap` spans (MetricRegistry::set_series_capacity,
+  /// Tracer::set_capacity).  Spans refused at the cap are tallied in the
+  /// `obs.spans_dropped` counter by span().
+  void set_capacity(std::size_t cap) noexcept {
+    metrics.set_series_capacity(cap);
+    trace.set_capacity(cap);
+  }
 };
 
-/// Opens a span on `t`'s tracer, or a no-op handle when `t` is null.
-[[nodiscard]] inline Span span(Telemetry* t, std::string_view name) {
-  return t != nullptr ? t->trace.span(name) : Span{};
-}
+/// The capacity long-lived sinks (service, session, admission controller)
+/// pass to Telemetry::set_capacity.
+inline constexpr std::size_t kLongLivedCapacity = 4096;
+
+/// Opens a span on `t`'s tracer, or a no-op handle when `t` is null or
+/// its tracer is full (counted in `obs.spans_dropped`).
+[[nodiscard]] Span span(Telemetry* t, std::string_view name);
 
 }  // namespace tfa::obs

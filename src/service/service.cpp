@@ -24,11 +24,6 @@ std::int64_t steady_now_ns() {
       .count();
 }
 
-std::vector<std::int64_t> latency_bounds() {
-  // Microsecond buckets: sub-100us (memo hits) up to >10s overflow.
-  return {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000};
-}
-
 const char* smax_name(trajectory::SmaxSemantics s) noexcept {
   return s == trajectory::SmaxSemantics::kArrival ? "arrival" : "completion";
 }
@@ -138,14 +133,22 @@ class TraceContextGuard {
 
 }  // namespace
 
+std::vector<std::int64_t> latency_bounds(std::int64_t unit_ns) {
+  // Sub-100us (memo hits) up to a >10s overflow bucket.
+  std::vector<std::int64_t> bounds;
+  for (std::int64_t us = 100; us <= 10'000'000; us *= 10)
+    bounds.push_back(us * 1000 / unit_ns);
+  return bounds;
+}
+
 Service::Service(ServiceConfig cfg, obs::Telemetry* telemetry)
     : cfg_(std::move(cfg)),
       owned_store_(std::make_unique<SessionStore>(cfg_.max_sessions)),
       store_(owned_store_.get()),
       telemetry_(telemetry) {
   if (!cfg_.clock) cfg_.clock = steady_now_ns;
-  // The service registry is long-lived like a session's: cap its series.
-  if (telemetry_ != nullptr) telemetry_->metrics.set_series_capacity(4096);
+  // The service sink is long-lived like a session's: cap series and spans.
+  if (telemetry_ != nullptr) telemetry_->set_capacity(obs::kLongLivedCapacity);
 }
 
 Service::Service(ServiceConfig cfg, obs::Telemetry* telemetry,
@@ -153,7 +156,7 @@ Service::Service(ServiceConfig cfg, obs::Telemetry* telemetry,
     : cfg_(std::move(cfg)), store_(shared), telemetry_(telemetry) {
   TFA_EXPECTS(shared != nullptr);
   if (!cfg_.clock) cfg_.clock = steady_now_ns;
-  if (telemetry_ != nullptr) telemetry_->metrics.set_series_capacity(4096);
+  if (telemetry_ != nullptr) telemetry_->set_capacity(obs::kLongLivedCapacity);
 }
 
 void Service::bump(std::string_view counter) {
@@ -165,7 +168,7 @@ std::int64_t Service::emit(std::string line, std::int64_t start_ns) {
   // ticks on the same schedule either way.
   const std::int64_t latency = cfg_.clock() - start_ns;
   if (telemetry_ != nullptr) {
-    telemetry_->metrics.histogram("service.latency_us", latency_bounds())
+    telemetry_->metrics.histogram("service.latency_us", latency_bounds(1000))
         .record(latency / 1000);
     telemetry_->metrics.timer("service.latency_ns") += latency;
   }

@@ -38,6 +38,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "service/protocol.h"
 #include "service/session.h"
@@ -49,6 +50,12 @@ struct Telemetry;
 }  // namespace tfa::obs
 
 namespace tfa::service {
+
+/// Upper bounds of the request-latency histogram buckets, in units of
+/// `unit_ns` nanoseconds: 100µs, 1ms, 10ms, 100ms, 1s, 10s (+overflow).
+/// The one bucket list behind `service.latency_us` (unit_ns = 1000) and
+/// the socket transport's `service.net.request_latency_ns` (unit_ns = 1).
+[[nodiscard]] std::vector<std::int64_t> latency_bounds(std::int64_t unit_ns);
 
 /// Tuning knobs of one Service instance.
 struct ServiceConfig {

@@ -10,9 +10,11 @@ SessionStore::Create SessionStore::create(const std::string& name,
   if (sessions_.size() >= max_) return Create::kFull;
   Session& s = sessions_[name];
   s.name = name;
-  // A session is long-lived: bound its convergence series so telemetry
-  // stays O(1) per analyze (the admission-controller discipline).
-  s.telemetry.metrics.set_series_capacity(4096);
+  // A session is long-lived and its runs add one busy-period series per
+  // analysed flow: bound the series names, their lengths and the spans,
+  // so telemetry stays bounded however many flows churn through (drops
+  // land in obs.series_dropped / obs.spans_dropped).
+  s.telemetry.set_capacity(obs::kLongLivedCapacity);
   *out = &s;
   return Create::kCreated;
 }

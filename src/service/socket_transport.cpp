@@ -48,16 +48,6 @@ const std::string& shed_line() {
   return line;
 }
 
-/// Fixed bucket upper bounds of the request-latency histogram,
-/// nanoseconds: 100µs, 1ms, 10ms, 100ms, 1s, 10s (+overflow).  Fixed so
-/// per-connection histograms always merge bucket-wise.
-const std::vector<std::int64_t>& latency_bounds() {
-  static const std::vector<std::int64_t> bounds = {
-      100'000,     1'000'000,     10'000'000,
-      100'000'000, 1'000'000'000, 10'000'000'000};
-  return bounds;
-}
-
 }  // namespace
 
 /// One client connection.  Framing state (`partial`, the discard
@@ -71,7 +61,7 @@ struct SocketServer::Conn {
   Conn(net::UniqueFd fd_in, std::uint64_t id_in, const ServiceConfig& cfg,
        SessionStore* store)
       : fd(std::move(fd_in)), id(id_in), service(cfg, nullptr, store) {
-    latency.bounds = latency_bounds();
+    latency.bounds = latency_bounds(1);
     latency.counts.assign(latency.bounds.size(), 0);
   }
 
@@ -116,7 +106,7 @@ SocketServer::SocketServer(SocketServerConfig cfg, obs::Telemetry* telemetry)
   cfg_.service.clock = nullptr;
   if (cfg_.executors == 0) cfg_.executors = 1;
   if (cfg_.max_conns == 0) cfg_.max_conns = 1;
-  closed_latency_.bounds = latency_bounds();
+  closed_latency_.bounds = latency_bounds(1);
   closed_latency_.counts.assign(closed_latency_.bounds.size(), 0);
 }
 
@@ -208,7 +198,7 @@ void SocketServer::publish_counters() {
       bytes_out_.load(std::memory_order_relaxed));
   const std::scoped_lock lock(latency_mu_);
   if (closed_latency_.count > 0)
-    m.histogram("service.net.request_latency_ns", latency_bounds())
+    m.histogram("service.net.request_latency_ns", latency_bounds(1))
         .merge(closed_latency_);
 }
 
@@ -234,7 +224,7 @@ std::string SocketServer::metrics_text() {
   // Latency: the closed-connection fold plus every live connection, in
   // connection-id order (fixed merge order — docs/observability.md).
   obs::Histogram& latency =
-      snap.histogram("service.net.request_latency_ns", latency_bounds());
+      snap.histogram("service.net.request_latency_ns", latency_bounds(1));
   {
     const std::scoped_lock lock(latency_mu_);
     latency.merge(closed_latency_);

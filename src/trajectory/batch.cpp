@@ -3,10 +3,6 @@
 #include <utility>
 
 #include "base/contracts.h"
-#include "base/parallel.h"
-#include "model/normalize.h"
-#include "obs/telemetry.h"
-#include "trajectory/analysis.h"
 #include "trajectory/engine.h"
 
 namespace tfa::trajectory {
@@ -101,34 +97,11 @@ void AnalysisCache::clear() {
   context_ = 0;
 }
 
-Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
-                      const Config& cfg, obs::Telemetry* telemetry) {
-  TFA_EXPECTS(!set.empty());
-
-  // Registry-first accounting, like analyze(): a run-local Telemetry
-  // stands in when the caller passes none, and Result::stats is the delta
-  // against the pre-run snapshot so a persistent registry never
-  // double-counts wall times across re-analyses.
-  obs::Telemetry local;
-  obs::Telemetry* t = telemetry != nullptr ? telemetry : &local;
-  const EngineStats before = stats_view(t->metrics);
-  obs::Span reanalyze_span = obs::span(t, "trajectory.reanalyze");
-  {
-    obs::Span validate_span = obs::span(t, "trajectory.validate");
-    const auto issues = set.validate();
-    TFA_EXPECTS_MSG(issues.empty(), issues.front().message.c_str());
-  }
-
-  const model::NormalisationReport norm = [&] {
-    obs::Span norm_span = obs::span(t, "trajectory.normalise");
-    return model::normalise(set, cfg.split_jitter);
-  }();
-  const model::FlowSet& fs = norm.flow_set;
+std::vector<const std::vector<Duration>*> AnalysisCache::seed_rows(
+    const model::FlowSet& fs, const model::Network& net, const Config& cfg,
+    EngineStats& stats) const {
+  if (rows_.empty()) return {};
   const std::size_t n = fs.size();
-  const std::uint64_t context = context_fingerprint(set.network(), cfg);
-
-  std::int64_t hits = 0;
-  std::int64_t misses = 0;
 
   // ---- Warm-start validity: every cached row must correspond to an
   // unchanged flow of the new normalised set, i.e. the cached run covered
@@ -137,9 +110,9 @@ Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
   // only adds interference) and remains a pre-fixed point — the
   // monotonicity argument in docs/math.md.  A removal or modification
   // breaks the subset relation, so the whole cache is discarded.
-  bool warm = !cache.rows_.empty() && cache.context_ == context;
+  bool warm = context_ == context_fingerprint(net, cfg);
   if (warm) {
-    for (const auto& [name, row] : cache.rows_) {
+    for (const auto& [name, row] : rows_) {
       const auto idx = fs.find(name);
       if (!idx || flow_fingerprint(fs.flow(*idx)) != row.fingerprint) {
         warm = false;
@@ -147,51 +120,44 @@ Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
       }
     }
   }
-
-  // Seed rows resolved up front so the engine's hook is just a lookup.
-  std::vector<const std::vector<Duration>*> seed(n, nullptr);
-  EngineOptions opts;
-  opts.telemetry = t;
-  if (warm) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const model::SporadicFlow& f = fs.flow(static_cast<FlowIndex>(i));
-      if (!analysable_under(f, cfg)) continue;
-      const auto it = cache.rows_.find(f.name());
-      if (it != cache.rows_.end() && !it->second.smax.empty()) {
-        TFA_ASSERT(it->second.smax.size() == f.path().size());
-        seed[i] = &it->second.smax;
-        ++hits;
-      } else {
-        ++misses;  // newly added flow: cold row
-      }
-    }
-    opts.warm_seed = [&seed](FlowIndex i, std::size_t pos) {
-      const auto* row = seed[static_cast<std::size_t>(i)];
-      return row != nullptr ? (*row)[pos] : Duration{-1};
-    };
-  } else if (!cache.rows_.empty()) {
+  if (!warm) {
     // Invalidated: every analysable flow restarts from the cold seed.
     for (std::size_t i = 0; i < n; ++i)
       if (analysable_under(fs.flow(static_cast<FlowIndex>(i)), cfg))
-        ++misses;
+        ++stats.cache_misses;
+    return {};
   }
-  t->metrics.counter("trajectory.cache_hits") += hits;
-  t->metrics.counter("trajectory.cache_misses") += misses;
 
-  const Engine engine(fs, cfg, opts);
-
-  // ---- Refresh the cache with this run's state.  Unconverged tables are
-  // cached too: every Kleene iterate from a pre-fixed point is itself a
-  // pre-fixed point, so they stay sound warm seeds.  Background flows (EF
-  // mode) carry no Smax row but ARE fingerprinted — their removal lowers
-  // the delta term, so it must invalidate the cache like any other
-  // removal.
-  cache.rows_.clear();
-  cache.context_ = context;
+  // Seed rows resolved up front so the engine's hook is just a lookup.
+  std::vector<const std::vector<Duration>*> seed(n, nullptr);
   for (std::size_t i = 0; i < n; ++i) {
+    const model::SporadicFlow& f = fs.flow(static_cast<FlowIndex>(i));
+    if (!analysable_under(f, cfg)) continue;
+    const auto it = rows_.find(f.name());
+    if (it != rows_.end() && !it->second.smax.empty()) {
+      TFA_ASSERT(it->second.smax.size() == f.path().size());
+      seed[i] = &it->second.smax;
+      ++stats.cache_hits;
+    } else {
+      ++stats.cache_misses;  // newly added flow: cold row
+    }
+  }
+  return seed;
+}
+
+void AnalysisCache::refresh(const model::FlowSet& fs, const model::Network& net,
+                            const Config& cfg, const Engine& engine) {
+  // Unconverged tables are cached too: every Kleene iterate from a
+  // pre-fixed point is itself a pre-fixed point, so they stay sound warm
+  // seeds.  Background flows (EF mode) carry no Smax row but ARE
+  // fingerprinted — their removal lowers the delta term, so it must
+  // invalidate the cache like any other removal.
+  rows_.clear();
+  context_ = context_fingerprint(net, cfg);
+  for (std::size_t i = 0; i < fs.size(); ++i) {
     const auto fi = static_cast<FlowIndex>(i);
     const model::SporadicFlow& f = fs.flow(fi);
-    AnalysisCache::Row row;
+    Row row;
     row.fingerprint = flow_fingerprint(f);
     if (engine.analysable(fi)) {
       row.smax.reserve(f.path().size());
@@ -199,51 +165,13 @@ Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
         row.smax.push_back(engine.smax(fi, k));
       row.busy_period = engine.bound(fi).busy_period;
     }
-    cache.rows_.emplace(f.name(), std::move(row));
+    rows_.emplace(f.name(), std::move(row));
   }
-
-  Result result = [&] {
-    obs::Span compose_span = obs::span(t, "trajectory.compose");
-    return detail::compose(set, cfg, norm, engine);
-  }();
-  result.stats = stats_view(t->metrics).delta_since(before);
-  return result;
 }
 
-std::vector<Result> analyze_many(const std::vector<model::FlowSet>& sets,
-                                 const Config& cfg, std::size_t workers) {
-  return analyze_many(sets, cfg, workers, nullptr);
-}
-
-std::vector<Result> analyze_many(const std::vector<model::FlowSet>& sets,
-                                 const Config& cfg, std::size_t workers,
-                                 obs::Telemetry* telemetry) {
-  TFA_EXPECTS(!sets.empty());
-  // Validate up front, on the caller's thread: a malformed set should die
-  // with its diagnostic here, not from inside a worker.
-  for (const model::FlowSet& s : sets) {
-    TFA_EXPECTS(!s.empty());
-    const auto issues = s.validate();
-    TFA_EXPECTS_MSG(issues.empty(), issues.front().message.c_str());
-  }
-  obs::Span many_span = obs::span(telemetry, "trajectory.analyze_many");
-  Config per_set = cfg;
-  per_set.workers = 1;  // the fan-out is the parallelism
-  std::vector<Result> out(sets.size());
-  parallel_for(
-      sets.size(), [&](std::size_t i) { out[i] = analyze(sets[i], per_set); },
-      workers);
-  // Aggregate publish, after the barrier and in set order: each per-set
-  // run collected into its own local sink (workers never touch the shared
-  // registry), so the totals are identical for every `workers`.
-  if (telemetry != nullptr) {
-    telemetry->metrics.counter("trajectory.sets_analyzed") +=
-        static_cast<std::int64_t>(sets.size());
-    EngineStats total;
-    for (const Result& r : out) total.merge(r.stats);
-    publish_stats(total, telemetry->metrics);
-  }
-  return out;
+Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
+                      const Config& cfg, obs::Telemetry* telemetry) {
+  return detail::run(set, cfg, &cache, telemetry, "trajectory.reanalyze");
 }
 
 }  // namespace tfa::trajectory

@@ -1,28 +1,27 @@
-// Batch / incremental front end of the trajectory analysis.
+// Incremental front end of the trajectory analysis.
 //
 // Admission-control-style workloads analyse a long sequence of nearly
-// identical flow sets (admit one, re-analyse; release one, re-analyse) or
-// thousands of independent sets.  This module adds the two levers that
-// make those workloads cheap:
-//
-//  * parallelism — Config::workers spreads the per-flow test-point sweeps
-//    inside one engine run over base/parallel.h workers (bounds are
-//    bit-identical for every worker count; see docs/architecture.md), and
-//    analyze_many() fans whole sets out across workers;
-//  * reuse — an AnalysisCache memoizes the converged Smax fixed-point
-//    table and per-flow busy periods of a run, and reanalyze_with()
-//    warm-starts the next run's monotone fixed point from it whenever
-//    that is sound (the cached run's flows are a subset of the new set's;
-//    see docs/math.md, "Warm-starting the fixed point").
+// identical flow sets (admit one, re-analyse; release one, re-analyse).
+// An AnalysisCache memoizes the converged Smax fixed-point table and
+// per-flow busy periods of a run, and reanalyze_with() warm-starts the
+// next run's monotone fixed point from it whenever that is sound (the
+// cached run's flows are a subset of the new set's; see docs/math.md,
+// "Warm-starting the fixed point").  reanalyze_with() is analyze() plus
+// the cache: both run the same pipeline (trajectory/analysis.h).
+// Parallelism stays inside one run (Config::workers spreads the per-flow
+// test-point sweeps; bounds are bit-identical for every worker count);
+// trajectory::ShardedAnalyzer (trajectory/shard.h) fans whole shards out.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "base/types.h"
 #include "model/flow_set.h"
+#include "trajectory/analysis.h"
 #include "trajectory/stats.h"
 #include "trajectory/types.h"
 
@@ -59,11 +58,24 @@ class AnalysisCache {
     Duration busy_period = kInfiniteDuration;
   };
 
+  /// Warm-start seed of a run over the normalised set `fs`: the cached
+  /// Smax row of every analysable flow (null for a newly added one), or
+  /// an empty vector when the cache cannot soundly seed the run.  Tallies
+  /// the validity check into `stats`' cache_hits / cache_misses.
+  [[nodiscard]] std::vector<const std::vector<Duration>*> seed_rows(
+      const model::FlowSet& fs, const model::Network& net, const Config& cfg,
+      EngineStats& stats) const;
+
+  /// Replaces the cached state with `engine`'s run over `fs`.
+  void refresh(const model::FlowSet& fs, const model::Network& net,
+               const Config& cfg, const Engine& engine);
+
   std::unordered_map<std::string, Row> rows_;
   std::uint64_t context_ = 0;  ///< Network + Config fingerprint.
 
-  friend Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
-                               const Config& cfg, obs::Telemetry* telemetry);
+  friend Result detail::run(const model::FlowSet& set, const Config& cfg,
+                            AnalysisCache* cache, obs::Telemetry* telemetry,
+                            std::string_view span_name);
 };
 
 /// Analyses `set` exactly like analyze() (same Result, same bounds — the
@@ -79,39 +91,22 @@ class AnalysisCache {
 /// the cached table could overestimate the new least fixed point.
 ///
 /// Precondition: `set` is non-empty and `set.validate()` is clean.
+///
+/// The observability sink (nullptr = off) receives a "trajectory.reanalyze"
+/// span tree like analyze()'s.  The registry ACCUMULATES across calls
+/// (counters, timers, convergence series) — the natural use is one
+/// long-lived Telemetry per cache lineage — while Result::stats is the
+/// run's own accounting, so each call's wall times are reported exactly
+/// once (tests/trajectory/stats_semantics_test.cpp pins both halves).
+[[nodiscard]] Result reanalyze_with(const model::FlowSet& set,
+                                    AnalysisCache& cache, const Config& cfg,
+                                    obs::Telemetry* telemetry);
+
+/// reanalyze_with() without an observability sink.
 [[nodiscard]] inline Result reanalyze_with(const model::FlowSet& set,
                                            AnalysisCache& cache,
                                            const Config& cfg = {}) {
   return reanalyze_with(set, cache, cfg, nullptr);
 }
-
-/// reanalyze_with() with an observability sink.  The registry ACCUMULATES
-/// across calls (counters, timers, convergence series) — the natural use
-/// is one long-lived Telemetry per cache lineage — while Result::stats is
-/// computed as a delta against the pre-call snapshot, so each call's wall
-/// times are reported exactly once (the regression test in
-/// tests/trajectory/stats_semantics_test.cpp pins both halves).
-[[nodiscard]] Result reanalyze_with(const model::FlowSet& set,
-                                    AnalysisCache& cache, const Config& cfg,
-                                    obs::Telemetry* telemetry);
-
-/// Analyses many independent sets, fanning them out over `workers`
-/// threads (0 = hardware default).  Results are ordered like `sets`
-/// regardless of scheduling; each per-set engine runs sequentially
-/// (Config::workers is forced to 1) so the fan-out is the only
-/// parallelism.
-[[nodiscard]] std::vector<Result> analyze_many(
-    const std::vector<model::FlowSet>& sets, const Config& cfg = {},
-    std::size_t workers = 0);
-
-/// analyze_many() with an observability sink: one "trajectory.analyze_many"
-/// span, a "trajectory.sets_analyzed" counter, and the summed per-set work
-/// counters, published once after the fan-out in set order (per-set runs
-/// collect into private sinks, so the totals are deterministic for every
-/// `workers`).  Per-set series/spans are NOT forwarded — fan-out telemetry
-/// is aggregate by design.
-[[nodiscard]] std::vector<Result> analyze_many(
-    const std::vector<model::FlowSet>& sets, const Config& cfg,
-    std::size_t workers, obs::Telemetry* telemetry);
 
 }  // namespace tfa::trajectory

@@ -2,13 +2,12 @@
 
 #include <array>
 #include <memory>
-
 #include <string>
 
-#include "base/checked.h"
 #include "base/contracts.h"
 #include "model/normalize.h"
 #include "obs/telemetry.h"
+#include "trajectory/analysis.h"
 #include "trajectory/engine.h"
 
 namespace tfa::trajectory {
@@ -93,43 +92,11 @@ FpFifoResult analyze_fp_fifo(const model::FlowSet& set, Config cfg,
     cb.service_class = klass;
     cb.converged = engine.converged();
 
-    // Map back to original flows, composing split segments (same rule as
-    // analysis.cpp: per-segment bounds plus one link per junction).
+    // Map back to original flows with analyze()'s composition rule.
     for (std::size_t orig = 0; orig < set.size(); ++orig) {
       const auto oi = static_cast<FlowIndex>(orig);
-      const model::SporadicFlow& flow = set.flow(oi);
-      if (flow.service_class() != klass) continue;
-
-      FlowBound b;
-      b.flow = oi;
-      const auto& segments = norm.segments[orig];
-      b.composed = segments.size() > 1;
-
-      Duration total = 0;
-      bool finite = engine.converged();
-      for (std::size_t s = 0; s < segments.size() && finite; ++s) {
-        const PrefixBound& pb = engine.bound(segments[s]);
-        if (!pb.finite()) {
-          finite = false;
-          break;
-        }
-        total = sat_add(total, pb.response);
-        if (s + 1 < segments.size())
-          total = sat_add(total, set.network().link_lmax(
-                                     fs.flow(segments[s]).path().last(),
-                                     fs.flow(segments[s + 1]).path().first()));
-        b.delta += pb.delta;
-        if (s == 0) {
-          b.busy_period = pb.busy_period;
-          b.critical_instant = pb.critical_instant;
-        }
-      }
-      finite = finite && !is_infinite(total);
-      b.response = finite ? total : kInfiniteDuration;
-      b.schedulable = finite && b.response <= flow.deadline();
-      b.jitter = finite ? b.response -
-                              model::best_case_response(set.network(), flow)
-                        : kInfiniteDuration;
+      if (set.flow(oi).service_class() != klass) continue;
+      const FlowBound b = detail::compose_flow(set, norm, engine, oi);
       result.all_schedulable = result.all_schedulable && b.schedulable;
       cb.bounds.push_back(b);
     }

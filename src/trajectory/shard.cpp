@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "base/contracts.h"
@@ -319,24 +320,29 @@ std::size_t ShardedAnalyzer::settle() {
 
   const std::size_t fan =
       cfg_.workers == 0 ? default_worker_count() : cfg_.workers;
-  std::vector<obs::Telemetry> sinks(dirty.size());
+  // Private per-shard sinks, folded into the attached one below; without
+  // an attached sink the runs record nothing.
+  std::vector<obs::Telemetry> sinks(telemetry_ != nullptr ? dirty.size() : 0);
+  const auto sink = [&sinks](std::size_t k) {
+    return sinks.empty() ? nullptr : &sinks[k];
+  };
   if (dirty.size() > 1 && fan > 1) {
-    // Fan the dirty shards out like analyze_many: the fan-out is the only
-    // parallelism (per-shard engines at workers=1), results land in
-    // pre-sized slots, and all publishing happens afterwards in shard-id
-    // order — so bounds AND telemetry are bit-identical for every fan.
+    // Fan the dirty shards out: the fan-out is the only parallelism
+    // (per-shard engines at workers=1), results land in pre-sized slots,
+    // and all publishing happens afterwards in shard-id order — so bounds
+    // AND telemetry are bit-identical for every fan.
     const Config saved = cfg_;
     cfg_.workers = 1;
     parallel_for(
         dirty.size(),
-        [this, &dirty, &sinks](std::size_t k) {
-          analyze_shard(dirty[k], &sinks[k]);
+        [this, &dirty, &sink](std::size_t k) {
+          analyze_shard(dirty[k], sink(k));
         },
         fan);
     cfg_ = saved;
   } else {
     for (std::size_t k = 0; k < dirty.size(); ++k)
-      analyze_shard(dirty[k], &sinks[k]);
+      analyze_shard(dirty[k], sink(k));
   }
   // Index maintenance happens here, sequentially — analyze_shard runs
   // inside parallel_for and must not touch the sets.
@@ -367,6 +373,12 @@ std::string structural_rejection(const model::SporadicFlow& candidate,
     if (tentative.node_utilisation(h) > 1.0)
       return "node " + std::to_string(h) + " would exceed capacity";
   return {};
+}
+
+std::string analysis_rejection(const std::vector<std::string>& violating) {
+  return violating.empty()
+             ? "analysis did not converge"
+             : "deadline miss certified for: " + violating.front();
 }
 
 AdmitOutcome ShardedAnalyzer::admit(const model::SporadicFlow& candidate) {
@@ -418,23 +430,17 @@ AdmitOutcome ShardedAnalyzer::admit(const model::SporadicFlow& candidate) {
     }
     scratch = shard_at(seed).cache;
   }
-  obs::Telemetry local;
-  Result r = reanalyze_with(tentative, scratch, cfg_, &local);
+  std::optional<obs::Telemetry> local;
+  if (telemetry_ != nullptr) local.emplace();
+  Result r = reanalyze_with(tentative, scratch, cfg_,
+                            local ? &*local : nullptr);
   out.stats = r.stats;
   out.shard_flows = tentative.size();
   publish_run(0, r, tentative.size());
-  if (telemetry_ != nullptr)
-    telemetry_->metrics.merge_with_prefix(local.metrics, "shard.");
+  if (local) telemetry_->metrics.merge_with_prefix(local->metrics, "shard.");
 
-  bool ok = r.converged;
-  for (const FlowBound& b : r.bounds) {
-    const std::string& name = tentative.flow(b.flow).name();
-    if (name == candidate.name()) out.candidate_bound = b.response;
-    if (!b.schedulable) {
-      out.violating.push_back(name);
-      ok = false;
-    }
-  }
+  bool ok = collect_verdict(r.bounds, r.converged, tentative, candidate.name(),
+                            out.candidate_bound, out.violating);
   // Untouched shards keep their certified verdicts; an unhealthy one
   // vetoes the admission exactly as its flows would in a global analysis.
   // The unhealthy index (everything is settled here) replaces the former
@@ -450,9 +456,7 @@ AdmitOutcome ShardedAnalyzer::admit(const model::SporadicFlow& candidate) {
   }
 
   if (!ok) {
-    out.reason = out.violating.empty()
-                     ? "analysis did not converge"
-                     : "deadline miss certified for: " + out.violating.front();
+    out.reason = analysis_rejection(out.violating);
     return out;
   }
 
@@ -561,7 +565,7 @@ const Config& ShardedAnalyzer::config() const noexcept { return cfg_; }
 
 void ShardedAnalyzer::attach_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
-  if (telemetry_ != nullptr) telemetry_->metrics.set_series_capacity(4096);
+  if (telemetry_ != nullptr) telemetry_->set_capacity(obs::kLongLivedCapacity);
 }
 
 }  // namespace tfa::trajectory

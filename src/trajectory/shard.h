@@ -79,6 +79,38 @@ struct ShardOutcome {
     const model::SporadicFlow& candidate, bool name_taken,
     const model::FlowSet& tentative);
 
+/// The deadline verdict that follows the analysis of a tentative set,
+/// shared like the structural gates by ShardedAnalyzer::admit() and
+/// admission::evaluate().  Stores the bound of the flow named `candidate`
+/// in `candidate_bound` and appends the name of every flow whose deadline
+/// is not certified to `violating`, in bound order.  Returns whether the
+/// analysis converged and certified every deadline.  `bounds` are the
+/// per-flow bounds (`flow`, `response`, `schedulable`) of any backend's
+/// analysis of `tentative`.
+template <class Bounds>
+[[nodiscard]] bool collect_verdict(const Bounds& bounds, bool converged,
+                                   const model::FlowSet& tentative,
+                                   const std::string& candidate,
+                                   Duration& candidate_bound,
+                                   std::vector<std::string>& violating) {
+  bool ok = converged;
+  for (const auto& b : bounds) {
+    const std::string& name = tentative.flow(b.flow).name();
+    if (name == candidate) candidate_bound = b.response;
+    if (!b.schedulable) {
+      violating.push_back(name);
+      ok = false;
+    }
+  }
+  return ok;
+}
+
+/// Reason of an admission refused by the analysis: "analysis did not
+/// converge" when no flow is named, otherwise "deadline miss certified
+/// for: " and the first violating flow.
+[[nodiscard]] std::string analysis_rejection(
+    const std::vector<std::string>& violating);
+
 /// Outcome of one shard-routed admission request.  Field semantics match
 /// admission::Decision (same reason strings, same candidate_bound rule);
 /// `violating` lists the same *set* of names the global analysis would,

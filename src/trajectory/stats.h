@@ -4,6 +4,11 @@
 // (cache hits/misses).  Counters are plain integers accumulated
 // deterministically — per-flow partials are merged in flow-index order, so
 // the numbers are identical for every worker count.
+//
+// An EngineStats is filled by the run itself (EngineOptions::stats) and is
+// what Result::stats reports; publish_stats() copies it into a metric
+// registry under the canonical `trajectory.*` names when a caller wants
+// the numbers in its telemetry.
 #pragma once
 
 #include <cstddef>
@@ -48,11 +53,8 @@ struct EngineStats {
   /// is for combining disjoint pieces of work (per-flow partials of one
   /// run, or whole runs into a long-lived accumulator), never for
   /// re-reading a cumulative total: merging the same run twice
-  /// double-counts its time.  Per-run stats out of a shared registry are
-  /// produced with delta_since() for exactly that reason (the
-  /// warm-start-re-analysis regression in
-  /// tests/trajectory/stats_semantics_test.cpp pins it).  `workers` takes
-  /// the maximum so class-by-class FP/FIFO merges keep the setting.
+  /// double-counts its time.  `workers` takes the maximum so
+  /// class-by-class FP/FIFO merges keep the setting.
   void merge(const EngineStats& other) noexcept {
     smax_passes += other.smax_passes;
     prefix_bounds += other.prefix_bounds;
@@ -66,11 +68,10 @@ struct EngineStats {
     workers = workers > other.workers ? workers : other.workers;
   }
 
-  /// This run's share of a cumulative accounting: every additive counter
-  /// and wall time minus `before`'s (a snapshot taken before the run);
-  /// `workers` keeps the current value.  The inverse of merge() — used to
-  /// report per-call stats from a registry that accumulates across
-  /// reanalyze_with() calls without double-counting wall times.
+  /// The share of this accounting that came after `before` (a snapshot
+  /// of the same accumulator): every additive counter and wall time minus
+  /// `before`'s; `workers` keeps the current value.  The inverse of
+  /// merge() — the engine uses it to split a run's counters by phase.
   [[nodiscard]] EngineStats delta_since(const EngineStats& before) const
       noexcept {
     EngineStats d = *this;
@@ -89,15 +90,7 @@ struct EngineStats {
 
 /// Adds `stats` into the registry under the canonical `trajectory.*`
 /// metric names (counters add, times land in timers, `workers` becomes a
-/// gauge merged by max) — the write half of the EngineStats<->registry
-/// bridge.
+/// gauge merged by max).
 void publish_stats(const EngineStats& stats, obs::MetricRegistry& metrics);
-
-/// Reads the canonical `trajectory.*` metrics back as an EngineStats —
-/// the struct is now a *view* over the registry: analyze() and
-/// reanalyze_with() route all accounting through a MetricRegistry and
-/// derive Result::stats with this function, so `--stats` output and the
-/// metrics dump can never disagree.
-[[nodiscard]] EngineStats stats_view(const obs::MetricRegistry& metrics);
 
 }  // namespace tfa::trajectory

@@ -95,6 +95,19 @@ TEST(MetricRegistry, SeriesCapacityDropsAndTallies) {
   EXPECT_EQ(r.counter_value("obs.series_dropped"), 3);
 }
 
+TEST(MetricRegistry, SeriesCapacityBoundsTheNumberOfNames) {
+  MetricRegistry r;
+  r.set_series_capacity(2);
+  r.append_series("a", 1);
+  r.append_series("b", 2);
+  r.append_series("c", 3);  // a third name: dropped
+  r.append_series("a", 4);  // an existing name still takes values
+  EXPECT_EQ(r.series().size(), 2u);
+  EXPECT_EQ(r.series().count("c"), 0u);
+  EXPECT_EQ(r.series().at("a"), (std::vector<std::int64_t>{1, 4}));
+  EXPECT_EQ(r.counter_value("obs.series_dropped"), 1);
+}
+
 TEST(MetricRegistry, ToJsonRoundTripsAndOrdersKeys) {
   MetricRegistry r;
   r.counter("b.second") += 2;

@@ -83,6 +83,22 @@ TEST(Span, TelemetryHelperRecordsIntoSink) {
   EXPECT_EQ(tel.trace.events()[0].name, "via_helper");
 }
 
+TEST(Span, CapacityDropsSpansAndTheHelperTalliesThem) {
+  Telemetry tel;
+  tel.set_capacity(2);
+  {
+    Span outer = span(&tel, "outer");
+    Span inner = span(&tel, "inner");
+    Span dropped = span(&tel, "dropped");  // at the cap: a no-op handle
+  }
+  { Span again = span(&tel, "again"); }
+  ASSERT_EQ(tel.trace.events().size(), 2u);
+  EXPECT_EQ(tel.trace.events()[0].name, "outer");
+  EXPECT_EQ(tel.trace.events()[1].name, "inner");
+  EXPECT_GE(tel.trace.events()[1].dur_ns, 0);  // recorded spans still close
+  EXPECT_EQ(tel.metrics.counter_value("obs.spans_dropped"), 2);
+}
+
 TEST(Span, DepthRecoversAfterSiblings) {
   Tracer tracer = counter_tracer();
   {

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -216,6 +217,39 @@ TEST(Tracing, WireTraceBecomesSpanContext) {
   EXPECT_TRUE(saw_engine_span);
   EXPECT_NE(sess->telemetry.trace.chrome_trace_json().find("phase-7"),
             std::string::npos);
+}
+
+/// A session is long-lived: however many distinct flows churn through
+/// it, its registry keeps at most kLongLivedCapacity series names and its
+/// tracer at most kLongLivedCapacity spans, and the drops are counted.
+/// Every admit + analyze of a new flow adds two busy-period series names
+/// (`shard.trajectory.flow.<name>.busy_period` and the unprefixed one)
+/// and one span tree.
+TEST(Tracing, ChurnedSessionTelemetryStaysWithinTheCap) {
+  Loopback lb(test_config());
+  ASSERT_NE(lb.request(load_line("churn", "network 4 1 1\n"
+                                          "flow base EF 1000 0 1000 path 0 1 "
+                                          "costs 1\n"))
+                .find(R"("ok":true)"),
+            std::string::npos);
+  const std::size_t cap = obs::kLongLivedCapacity;
+  for (std::size_t i = 0; i < cap / 2 + 64; ++i) {
+    const std::string name = "f" + std::to_string(i);
+    const std::string admit =
+        lb.request(R"({"op":"admit","session":"churn","flow":"flow )" + name +
+                   R"( EF 1000 0 1000 path 0 1 costs 1"})");
+    ASSERT_NE(admit.find(R"("admitted":true)"), std::string::npos) << admit;
+    (void)lb.request(analyze_line("churn"));
+    (void)lb.request(R"({"op":"remove_flow","session":"churn","name":")" +
+                     name + R"("})");
+  }
+  Session* sess = lb.service().sessions().find("churn");
+  ASSERT_NE(sess, nullptr);
+  const std::scoped_lock lock(sess->mu);
+  EXPECT_LE(sess->telemetry.metrics.series().size(), cap);
+  EXPECT_LE(sess->telemetry.trace.events().size(), cap);
+  EXPECT_GT(sess->telemetry.metrics.counter_value("obs.series_dropped"), 0);
+  EXPECT_GT(sess->telemetry.metrics.counter_value("obs.spans_dropped"), 0);
 }
 
 /// `statsz` serves the deterministic metric kinds only, so its bytes —

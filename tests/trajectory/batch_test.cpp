@@ -1,4 +1,4 @@
-// Tests of the batch / incremental front end (trajectory/batch.h): the
+// Tests of the incremental front end (trajectory/batch.h): the
 // determinism guarantee of the parallel engine (identical bounds for every
 // worker count), warm-start soundness and effectiveness of the
 // AnalysisCache, the Table-2 regression through the batch path, and the
@@ -251,17 +251,6 @@ TEST(BatchWarmStart, RepeatedReanalysisConvergesInOnePass) {
   expect_identical(analyze(set), again);
 }
 
-TEST(BatchMany, MatchesIndividualAnalysisInOrder) {
-  std::vector<FlowSet> sets;
-  for (const std::uint64_t seed : {2u, 4u, 6u, 8u}) {
-    sets.push_back(random_set(seed, 8));
-  }
-  const std::vector<Result> many = analyze_many(sets, {}, 4);
-  ASSERT_EQ(many.size(), sets.size());
-  for (std::size_t i = 0; i < sets.size(); ++i)
-    expect_identical(analyze(sets[i]), many[i]);
-}
-
 TEST(BatchContracts, AnalyzeRejectsInvalidSetWithClearMessage) {
   FlowSet set(Network(2, 1, 1));
   set.add(SporadicFlow("dup", Path{0, 1}, 100, 2, 0, 50));
@@ -275,28 +264,6 @@ TEST(BatchContracts, AnalyzeRejectsInvalidSetWithClearMessage) {
 TEST(BatchContracts, AnalyzeRejectsEmptySet) {
   const FlowSet set(Network(2, 1, 1));
   EXPECT_DEATH((void)analyze(set), "precondition");
-}
-
-TEST(BatchContracts, AnalyzeManyRejectsEmptyBatch) {
-  EXPECT_DEATH((void)analyze_many({}), "precondition");
-}
-
-TEST(BatchContracts, AnalyzeManyRejectsEmptyMemberSet) {
-  std::vector<FlowSet> sets;
-  sets.push_back(random_set(2, 4));
-  sets.emplace_back(Network(2, 1, 1));  // empty straggler
-  EXPECT_DEATH((void)analyze_many(sets), "precondition");
-}
-
-TEST(BatchContracts, AnalyzeManyRejectsDuplicateFlowIdsWithDiagnostic) {
-  FlowSet bad(Network(2, 1, 1));
-  bad.add(SporadicFlow("dup", Path{0, 1}, 100, 2, 0, 50));
-  bad.add(SporadicFlow("dup", Path{0, 1}, 100, 2, 0, 50));
-  std::vector<FlowSet> sets;
-  sets.push_back(random_set(2, 4));
-  sets.push_back(bad);
-  EXPECT_DEATH((void)analyze_many(sets), "precondition");
-  EXPECT_DEATH((void)analyze_many(sets), "dup");  // names the flow
 }
 
 }  // namespace

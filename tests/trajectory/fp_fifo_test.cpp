@@ -29,6 +29,32 @@ TEST(FpFifo, SingleClassDegeneratesToProperty2) {
     const auto fi = static_cast<FlowIndex>(i);
     EXPECT_EQ(fp.find(fi)->response, p2.find(fi)->response);
   }
+
+  // A one-class set that needs Assumption-1 splits: split flows go
+  // through the same composition as analyze().
+  FlowSet split(Network(8, 1, 1));
+  split.add(SporadicFlow("i", Path{1, 2, 3, 4, 5}, 100, 4, 0, 400));
+  split.add(SporadicFlow("j", Path{0, 2, 6, 4, 7}, 100, 4, 0, 400));
+  split.add(SporadicFlow("k", Path{6, 4, 5}, 120, 3, 2, 400));
+  const FpFifoResult fp_split = analyze_fp_fifo(split);
+  const Result p2_split = analyze(split);
+  ASSERT_GT(p2_split.split_count, 0u);
+  ASSERT_EQ(fp_split.classes.size(), 1u);
+  bool any_composed = false;
+  for (std::size_t i = 0; i < split.size(); ++i) {
+    const auto fi = static_cast<FlowIndex>(i);
+    const FlowBound* a = fp_split.find(fi);
+    const FlowBound* b = p2_split.find(fi);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(a->response, b->response) << "flow " << i;
+    EXPECT_EQ(a->jitter, b->jitter) << "flow " << i;
+    EXPECT_EQ(a->busy_period, b->busy_period) << "flow " << i;
+    EXPECT_EQ(a->delta, b->delta) << "flow " << i;
+    EXPECT_EQ(a->composed, b->composed) << "flow " << i;
+    any_composed = any_composed || a->composed;
+  }
+  EXPECT_TRUE(any_composed);
 }
 
 TEST(FpFifo, TopClassMatchesProperty3) {

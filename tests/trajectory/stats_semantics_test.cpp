@@ -1,8 +1,8 @@
 // Regression tests of the EngineStats accounting semantics (satellite of
 // the observability layer): a registry shared across reanalyze_with()
-// calls accumulates, Result::stats stays a per-call delta, and wall times
-// are counted exactly once.  Before the registry-first rewrite the second
-// call re-merged the accumulator and double-counted fixed_point_ns /
+// calls accumulates, Result::stats stays the one call's own accounting,
+// and wall times are counted exactly once.  An earlier version re-merged
+// the accumulator on the second call and double-counted fixed_point_ns /
 // extract_ns; these tests pin the fixed semantics.
 #include <gtest/gtest.h>
 
@@ -52,29 +52,39 @@ TEST(StatsSemantics, SharedRegistryAccumulatesWhileResultStatsStayPerCall) {
   EXPECT_GT(r2.stats.cache_hits, 0u);
   EXPECT_GT(r2.stats.warm_seeded_entries, 0u);
 
-  // The shared registry holds the exact sum of the two per-call deltas —
+  // The shared registry holds the exact sum of the two per-call stats —
   // counters and, crucially, wall times (the double-count regression).
-  const EngineStats total = stats_view(tel.metrics);
-  EXPECT_EQ(total.smax_passes, r1.stats.smax_passes + r2.stats.smax_passes);
-  EXPECT_EQ(total.prefix_bounds,
-            r1.stats.prefix_bounds + r2.stats.prefix_bounds);
-  EXPECT_EQ(total.test_points, r1.stats.test_points + r2.stats.test_points);
-  EXPECT_EQ(total.busy_period_iterations,
-            r1.stats.busy_period_iterations +
-                r2.stats.busy_period_iterations);
-  EXPECT_EQ(total.cache_hits, r1.stats.cache_hits + r2.stats.cache_hits);
-  EXPECT_EQ(total.warm_seeded_entries,
-            r1.stats.warm_seeded_entries + r2.stats.warm_seeded_entries);
-  EXPECT_EQ(total.fixed_point_ns,
-            r1.stats.fixed_point_ns + r2.stats.fixed_point_ns);
-  EXPECT_EQ(total.extract_ns, r1.stats.extract_ns + r2.stats.extract_ns);
+  const obs::MetricRegistry& m = tel.metrics;
+  const auto sum = [](std::size_t a, std::size_t b) {
+    return static_cast<std::int64_t>(a + b);
+  };
+  EXPECT_EQ(m.counter_value("trajectory.smax_passes"),
+            sum(r1.stats.smax_passes, r2.stats.smax_passes));
+  EXPECT_EQ(m.counter_value("trajectory.prefix_bounds"),
+            sum(r1.stats.prefix_bounds, r2.stats.prefix_bounds));
+  EXPECT_EQ(m.counter_value("trajectory.test_points"),
+            sum(r1.stats.test_points, r2.stats.test_points));
+  EXPECT_EQ(m.counter_value("trajectory.busy_period_iterations"),
+            sum(r1.stats.busy_period_iterations,
+                r2.stats.busy_period_iterations));
+  EXPECT_EQ(m.counter_value("trajectory.cache_hits"),
+            sum(r1.stats.cache_hits, r2.stats.cache_hits));
+  EXPECT_EQ(m.counter_value("trajectory.cache_misses"),
+            sum(r1.stats.cache_misses, r2.stats.cache_misses));
+  EXPECT_EQ(m.counter_value("trajectory.warm_seeded_entries"),
+            sum(r1.stats.warm_seeded_entries, r2.stats.warm_seeded_entries));
+  const std::int64_t fixed_point_ns = m.timer_value("trajectory.fixed_point_ns");
+  EXPECT_EQ(fixed_point_ns, r1.stats.fixed_point_ns + r2.stats.fixed_point_ns);
+  EXPECT_EQ(m.timer_value("trajectory.extract_ns"),
+            r1.stats.extract_ns + r2.stats.extract_ns);
 
   // Both calls did real work, so the second call's share is a strict part
   // of the accumulated total — not the total itself (the old bug).
   EXPECT_GT(r1.stats.fixed_point_ns, 0);
   EXPECT_GT(r2.stats.fixed_point_ns, 0);
-  EXPECT_LT(r2.stats.fixed_point_ns, total.fixed_point_ns);
-  EXPECT_LT(r2.stats.smax_passes, total.smax_passes);
+  EXPECT_LT(r2.stats.fixed_point_ns, fixed_point_ns);
+  EXPECT_LT(static_cast<std::int64_t>(r2.stats.smax_passes),
+            m.counter_value("trajectory.smax_passes"));
 }
 
 TEST(StatsSemantics, SharedRegistryDeltasMatchPrivateRegistryRuns) {
@@ -142,7 +152,7 @@ TEST(StatsSemantics, MergeAddsAndDeltaSinceInverts) {
   EXPECT_EQ(back.workers, sum.workers);  // delta keeps the current setting
 }
 
-TEST(StatsSemantics, PublishAndViewRoundTrip) {
+TEST(StatsSemantics, PublishWritesCanonicalNames) {
   EngineStats s;
   s.smax_passes = 4;
   s.prefix_bounds = 7;
@@ -157,17 +167,30 @@ TEST(StatsSemantics, PublishAndViewRoundTrip) {
 
   obs::MetricRegistry reg;
   publish_stats(s, reg);
-  const EngineStats v = stats_view(reg);
-  EXPECT_EQ(v.smax_passes, s.smax_passes);
-  EXPECT_EQ(v.prefix_bounds, s.prefix_bounds);
-  EXPECT_EQ(v.test_points, s.test_points);
-  EXPECT_EQ(v.busy_period_iterations, s.busy_period_iterations);
-  EXPECT_EQ(v.warm_seeded_entries, s.warm_seeded_entries);
-  EXPECT_EQ(v.cache_hits, s.cache_hits);
-  EXPECT_EQ(v.cache_misses, s.cache_misses);
-  EXPECT_EQ(v.fixed_point_ns, s.fixed_point_ns);
-  EXPECT_EQ(v.extract_ns, s.extract_ns);
-  EXPECT_EQ(v.workers, s.workers);
+  EXPECT_EQ(reg.counter_value("trajectory.smax_passes"), 4);
+  EXPECT_EQ(reg.counter_value("trajectory.prefix_bounds"), 7);
+  EXPECT_EQ(reg.counter_value("trajectory.test_points"), 19);
+  EXPECT_EQ(reg.counter_value("trajectory.busy_period_iterations"), 3);
+  EXPECT_EQ(reg.counter_value("trajectory.warm_seeded_entries"), 2);
+  EXPECT_EQ(reg.counter_value("trajectory.cache_hits"), 5);
+  EXPECT_EQ(reg.counter_value("trajectory.cache_misses"), 1);
+  EXPECT_EQ(reg.timer_value("trajectory.fixed_point_ns"), 12345);
+  EXPECT_EQ(reg.timer_value("trajectory.extract_ns"), 678);
+  EXPECT_EQ(reg.gauge_value("trajectory.workers"), 8);
+  // Exactly the canonical names: nine work metrics and one gauge.
+  EXPECT_EQ(reg.counters().size(), 7u);
+  EXPECT_EQ(reg.timers().size(), 2u);
+  EXPECT_EQ(reg.gauges().size(), 1u);
+
+  // A second publish adds counters and times; the gauge keeps the max.
+  EngineStats small;
+  small.smax_passes = 1;
+  small.fixed_point_ns = 5;
+  small.workers = 2;
+  publish_stats(small, reg);
+  EXPECT_EQ(reg.counter_value("trajectory.smax_passes"), 5);
+  EXPECT_EQ(reg.timer_value("trajectory.fixed_point_ns"), 12350);
+  EXPECT_EQ(reg.gauge_value("trajectory.workers"), 8);
 }
 
 }  // namespace
