@@ -29,29 +29,50 @@ void Histogram::merge(const Histogram& other) {
   sum += other.sum;
 }
 
+namespace {
+
+using Scalars = std::map<std::string, std::int64_t, std::less<>>;
+
+/// The value named `name`, created at 0 on a miss: a hit builds no key
+/// string.
+std::int64_t& find_or_create(Scalars& values, std::string_view name) {
+  const auto it = values.find(name);
+  if (it != values.end()) return it->second;
+  return values.emplace(std::string(name), 0).first->second;
+}
+
+std::int64_t lookup(const Scalars& values, std::string_view name) {
+  const auto it = values.find(name);
+  return it == values.end() ? 0 : it->second;
+}
+
+}  // namespace
+
 std::int64_t& MetricRegistry::counter(std::string_view name) {
-  return counters_.try_emplace(std::string(name), 0).first->second;
+  return find_or_create(counters_, name);
 }
 
 std::int64_t& MetricRegistry::timer(std::string_view name) {
-  return timers_.try_emplace(std::string(name), 0).first->second;
+  return find_or_create(timers_, name);
 }
 
 std::int64_t& MetricRegistry::gauge(std::string_view name) {
-  return gauges_.try_emplace(std::string(name), 0).first->second;
+  return find_or_create(gauges_, name);
 }
 
 Histogram& MetricRegistry::histogram(std::string_view name,
-                                     std::vector<std::int64_t> bounds) {
-  TFA_EXPECTS(std::is_sorted(bounds.begin(), bounds.end()));
-  auto [it, inserted] = histograms_.try_emplace(std::string(name));
-  if (inserted) {
-    it->second.bounds = std::move(bounds);
-    it->second.counts.assign(it->second.bounds.size(), 0);
-  } else {
+                                     const std::vector<std::int64_t>& bounds) {
+  auto it = histograms_.find(name);
+  if (it != histograms_.end()) {
     TFA_EXPECTS(it->second.bounds == bounds);
+    return it->second;
   }
-  return it->second;
+  TFA_EXPECTS(std::is_sorted(bounds.begin(), bounds.end()));
+  Histogram& h =
+      histograms_.emplace(std::string(name), Histogram{}).first->second;
+  h.bounds = bounds;
+  h.counts.assign(bounds.size(), 0);
+  return h;
 }
 
 void MetricRegistry::append_series(std::string_view name, std::int64_t value) {
@@ -70,17 +91,6 @@ void MetricRegistry::append_series(std::string_view name, std::int64_t value) {
   }
   s.push_back(value);
 }
-
-namespace {
-
-std::int64_t lookup(
-    const std::map<std::string, std::int64_t, std::less<>>& values,
-    std::string_view name) {
-  const auto it = values.find(name);
-  return it == values.end() ? 0 : it->second;
-}
-
-}  // namespace
 
 std::int64_t MetricRegistry::counter_value(std::string_view name) const {
   return lookup(counters_, name);

@@ -55,7 +55,8 @@ struct Histogram {
 /// dot-separated `subsystem.metric` (see docs/observability.md).
 class MetricRegistry {
  public:
-  /// Monotone counter; returns a reference the caller may add to.
+  /// Monotone counter; returns a reference the caller may add to.  Like
+  /// every accessor below, a lookup of an existing name allocates nothing.
   [[nodiscard]] std::int64_t& counter(std::string_view name);
 
   /// Accumulated wall time, nanoseconds.
@@ -67,7 +68,7 @@ class MetricRegistry {
   /// Histogram with the given bucket bounds.  The bounds of an existing
   /// histogram must match (checked).
   [[nodiscard]] Histogram& histogram(std::string_view name,
-                                     std::vector<std::int64_t> bounds);
+                                     const std::vector<std::int64_t>& bounds);
 
   /// Appends `value` to the named series, honouring the series cap.
   void append_series(std::string_view name, std::int64_t value);

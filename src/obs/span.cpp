@@ -44,27 +44,42 @@ Tracer::Tracer(Clock clock) : clock_(std::move(clock)) {
 }
 
 Span Tracer::span(std::string_view name) {
-  if (full()) return Span{};
+  if (full()) evict_oldest();
   auto it = names_.find(name);
   if (it == names_.end()) it = names_.emplace(name).first;
-  if (!context_.empty() && context_view_.empty())
-    context_view_ = traces_.emplace_back(context_);
+  const std::size_t index = base_ + events_.size();
+  if (!context_.empty()) {
+    if (context_view_.empty())
+      context_view_ = traces_.emplace_back(Interned{context_, index}).id;
+    traces_.back().last_use = index;  // the window's entry is the newest
+  }
   Event e;
   e.name = *it;
   e.start_ns = clock_();
   e.depth = open_depth_++;
   e.trace = context_view_;
   events_.push_back(e);
-  return Span(this, events_.size() - 1);
+  return Span(this, index);
+}
+
+void Tracer::evict_oldest() {
+  events_.pop_front();
+  ++base_;
+  // Trace contexts no recorded span views any more go with their spans.
+  while (!traces_.empty() && traces_.front().last_use < base_) {
+    if (traces_.front().id.data() == context_view_.data()) context_view_ = {};
+    traces_.pop_front();
+  }
 }
 
 void Tracer::close(std::size_t index) {
-  TFA_ASSERT(index < events_.size());
-  Event& e = events_[index];
-  TFA_ASSERT(e.dur_ns < 0);  // double close is a Span bug
-  e.dur_ns = clock_() - e.start_ns;
   TFA_ASSERT(open_depth_ > 0);
   --open_depth_;
+  if (index < base_) return;  // evicted while open
+  TFA_ASSERT(index - base_ < events_.size());
+  Event& e = events_[index - base_];
+  TFA_ASSERT(e.dur_ns < 0);  // double close is a Span bug
+  e.dur_ns = clock_() - e.start_ns;
 }
 
 std::string Tracer::chrome_trace_json() const {

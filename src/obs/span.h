@@ -2,9 +2,10 @@
 //
 // A Tracer records a flat list of completed spans (name, start, duration,
 // nesting depth) in *begin* order; Span is the RAII handle that closes a
-// span when it leaves scope.  The clock is injected at construction —
-// production uses std::chrono::steady_clock, tests inject a counter so
-// timestamps (and therefore the whole trace file) are bit-reproducible.
+// span when it leaves scope; a capped tracer keeps the newest spans.  The
+// clock is injected at construction — production uses
+// std::chrono::steady_clock, tests inject a counter so timestamps (and
+// therefore the whole trace file) are bit-reproducible.
 //
 // chrome_trace_json() renders the spans as Chrome trace-event JSON
 // ("X" complete events), loadable in chrome://tracing and Perfetto
@@ -49,7 +50,7 @@ class Span {
   Span(Tracer* tracer, std::size_t index) : tracer_(tracer), index_(index) {}
 
   Tracer* tracer_ = nullptr;
-  std::size_t index_ = 0;
+  std::size_t index_ = 0;  ///< Begin-order number, counting evicted spans.
 };
 
 /// The span recorder.
@@ -72,15 +73,16 @@ class Tracer {
   Tracer& operator=(Tracer&&) = default;
 
   /// Opens a span; it closes when the returned handle dies.  At the
-  /// capacity the span is not recorded and the handle is a no-op.
+  /// capacity the oldest recorded span is evicted to make room; a handle
+  /// whose span was evicted still closes (a no-op on the records).
   [[nodiscard]] Span span(std::string_view name);
 
-  /// Caps the number of recorded spans at `cap`; 0 (the default) means
-  /// unlimited.  Long-lived tracers (a service session's) set a cap so
-  /// the trace cannot grow without bound.
+  /// Caps the number of recorded spans at `cap`, as a ring that keeps the
+  /// newest; 0 (the default) means unlimited.  Long-lived tracers (a
+  /// service session's) set a cap so the trace cannot grow without bound.
   void set_capacity(std::size_t cap) noexcept { cap_ = cap; }
 
-  /// True when the capacity is set and reached.
+  /// True when the capacity is set and reached: the next span evicts one.
   [[nodiscard]] bool full() const noexcept {
     return cap_ != 0 && events_.size() >= cap_;
   }
@@ -103,7 +105,7 @@ class Tracer {
   }
 
   /// One completed (or still open, dur < 0) span.  `name` and `trace`
-  /// view strings the tracer keeps, valid for the tracer's lifetime: a
+  /// view strings the tracer keeps, valid while the event is recorded: a
   /// long-lived session tracer then pays no allocation per span.
   struct Event {
     std::string_view name;
@@ -113,8 +115,8 @@ class Tracer {
     std::string_view trace;    ///< Trace context at begin time ("" if none).
   };
 
-  /// All spans, in begin order.  A deque, so that recording never copies
-  /// the spans already recorded.
+  /// The recorded spans, in begin order.  A deque, so that recording and
+  /// eviction never copy the spans already recorded.
   [[nodiscard]] const std::deque<Event>& events() const noexcept {
     return events_;
   }
@@ -130,9 +132,18 @@ class Tracer {
  private:
   friend class Span;
   void close(std::size_t index);
+  void evict_oldest();
+
+  /// One interned trace context and the begin-order number of the last
+  /// span that views it, so it is evicted with that span.
+  struct Interned {
+    std::string id;
+    std::size_t last_use = 0;
+  };
 
   Clock clock_;
   std::deque<Event> events_;
+  std::size_t base_ = 0;  ///< Begin-order number of events_.front().
   std::size_t cap_ = 0;
   std::size_t open_depth_ = 0;
   std::string context_;
@@ -140,7 +151,7 @@ class Tracer {
   // context once per context window in which a span opened
   // (context_view_ is that copy, empty until the window's first span).
   std::set<std::string, std::less<>> names_;
-  std::deque<std::string> traces_;
+  std::deque<Interned> traces_;
   std::string_view context_view_;
 };
 

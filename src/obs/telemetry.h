@@ -22,7 +22,7 @@ struct Telemetry {
 
   /// Bounds a long-lived sink: at most `cap` series names, `cap` values
   /// per series and `cap` spans (MetricRegistry::set_series_capacity,
-  /// Tracer::set_capacity).  Spans refused at the cap are tallied in the
+  /// Tracer::set_capacity).  Spans evicted at the cap are tallied in the
   /// `obs.spans_dropped` counter by span().
   void set_capacity(std::size_t cap) noexcept {
     metrics.set_series_capacity(cap);
@@ -34,8 +34,8 @@ struct Telemetry {
 /// pass to Telemetry::set_capacity.
 inline constexpr std::size_t kLongLivedCapacity = 4096;
 
-/// Opens a span on `t`'s tracer, or a no-op handle when `t` is null or
-/// its tracer is full (counted in `obs.spans_dropped`).
+/// Opens a span on `t`'s tracer, or a no-op handle when `t` is null.  A
+/// full tracer evicts its oldest span (counted in `obs.spans_dropped`).
 [[nodiscard]] Span span(Telemetry* t, std::string_view name);
 
 }  // namespace tfa::obs

@@ -1,7 +1,8 @@
 // In-process loopback transport: the service called as a library, with
-// the same JSON-lines wire format as `tfa_tool serve`.  Tests and the
-// proptest service-roundtrip invariant use it to prove that the wire
-// path computes bit-identical bounds to a direct in-process analysis.
+// the same JSON-lines wire format as `tfa_tool serve` — each line's
+// response is what Service::submit returns.  Tests and the proptest
+// service-roundtrip invariant use it to prove that the wire path
+// computes bit-identical bounds to a direct in-process analysis.
 #pragma once
 
 #include <string>
@@ -17,13 +18,11 @@ class Loopback {
   explicit Loopback(ServiceConfig cfg = {}, obs::Telemetry* telemetry = nullptr)
       : service_(std::move(cfg), telemetry) {}
 
-  /// Submits every line and returns all completed responses in sequence
-  /// order (one per submitted line, plus any that were still queued from
-  /// earlier submits).
+  /// Submits every line and returns their responses, one per line, in
+  /// order.
   std::vector<std::string> roundtrip(const std::vector<std::string>& lines);
 
-  /// Single request/response convenience.  Call on an idle loopback (no
-  /// undrained responses); returns the response to `line`.
+  /// Single request/response convenience: the response to `line`.
   std::string request(std::string_view line);
 
   [[nodiscard]] Service& service() noexcept { return service_; }

@@ -17,14 +17,13 @@ struct ServeResult {
 };
 
 /// Reads request lines from `in` until EOF, writing each response line
-/// (newline-terminated) to `out`.  Blank lines are ignored and consume
-/// no sequence number.  Lines are read through a *bounded* reader: one
-/// longer than ServiceConfig::max_request_bytes is discarded up to its
-/// newline (never buffered whole) and answered with the structured
-/// `oversized` error envelope, leaving the stream line-synchronised for
-/// the next request.  Each response is written as soon as its request
-/// is served.  EOF after `shutdown` is the graceful-drain exit; plain
-/// EOF drains the same way.
+/// (newline-terminated, flushed) to `out` as soon as the line's newline
+/// arrives.  Lines are cut by the LineFramer the socket transport uses
+/// too (service/framer.h): blank lines consume no sequence number, and a
+/// line longer than ServiceConfig::max_request_bytes is never buffered
+/// whole but answered with the structured `oversized` error envelope,
+/// leaving the stream line-synchronised for the next request.  EOF after
+/// `shutdown` is the graceful-drain exit; plain EOF drains the same way.
 ServeResult serve_stream(std::istream& in, std::ostream& out,
                          Service& service);
 

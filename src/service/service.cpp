@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -141,6 +142,13 @@ std::vector<std::int64_t> latency_bounds(std::int64_t unit_ns) {
   return bounds;
 }
 
+Service::Reply Service::fail(std::string code, std::string message) {
+  Reply reply;
+  reply.error.code = std::move(code);
+  reply.error.message = std::move(message);
+  return reply;
+}
+
 Service::Service(ServiceConfig cfg, obs::Telemetry* telemetry)
     : cfg_(std::move(cfg)),
       owned_store_(std::make_unique<SessionStore>(cfg_.max_sessions)),
@@ -161,19 +169,6 @@ Service::Service(ServiceConfig cfg, obs::Telemetry* telemetry,
 
 void Service::bump(std::string_view counter) {
   if (telemetry_ != nullptr) ++telemetry_->metrics.counter(counter);
-}
-
-std::int64_t Service::emit(std::string line, std::int64_t start_ns) {
-  // One clock call per response, telemetry or not, so an injected clock
-  // ticks on the same schedule either way.
-  const std::int64_t latency = cfg_.clock() - start_ns;
-  if (telemetry_ != nullptr) {
-    telemetry_->metrics.histogram("service.latency_us", latency_bounds(1000))
-        .record(latency / 1000);
-    telemetry_->metrics.timer("service.latency_ns") += latency;
-  }
-  out_.push_back(std::move(line));
-  return latency;
 }
 
 void Service::note_response(std::uint64_t seq, std::string_view op_text,
@@ -235,43 +230,43 @@ void Service::note_response(std::uint64_t seq, std::string_view op_text,
   }
 }
 
-void Service::respond_ok(std::uint64_t seq, const std::string& id_json,
-                         std::string_view op_text, const std::string& trace,
-                         std::string_view result_json, std::int64_t start_ns,
-                         const RequestMeta& meta) {
-  const std::int64_t latency =
-      emit(ok_envelope(seq, id_json, op_text, trace, result_json), start_ns);
-  note_response(seq, op_text, trace, /*ok=*/true, latency, meta, nullptr);
-}
-
-void Service::respond_error(std::uint64_t seq, const std::string& id_json,
-                            std::string_view op_text, const std::string& trace,
-                            const WireError& error, std::int64_t start_ns,
-                            const RequestMeta& meta) {
-  bump("service.errors");
-  if (telemetry_ != nullptr)
-    ++telemetry_->metrics.counter("service.errors." + error.code);
-  const std::int64_t latency =
-      emit(error_envelope(seq, id_json, op_text, trace, error), start_ns);
-  note_response(seq, op_text, trace, /*ok=*/false, latency, meta, &error);
-}
-
-std::optional<std::string> Service::next_response() {
-  if (out_.empty()) return std::nullopt;
-  std::string line = std::move(out_.front());
-  out_.pop_front();
+std::string Service::respond(std::uint64_t seq, const std::string& id_json,
+                             std::string_view op_text,
+                             const std::string& trace, const Reply& reply,
+                             std::int64_t start_ns, const RequestMeta& meta) {
+  const bool ok = reply.error.code.empty();
+  if (!ok) {
+    bump("service.errors");
+    if (telemetry_ != nullptr)
+      ++telemetry_->metrics.counter("service.errors." + reply.error.code);
+  }
+  std::string line =
+      ok ? ok_envelope(seq, id_json, op_text, trace, reply.result)
+         : error_envelope(seq, id_json, op_text, trace, reply.error);
+  // One clock call per response, telemetry or not, so an injected clock
+  // ticks on the same schedule either way.
+  const std::int64_t latency = cfg_.clock() - start_ns;
+  if (telemetry_ != nullptr) {
+    static const std::vector<std::int64_t> kLatencyUsBounds =
+        latency_bounds(1000);
+    telemetry_->metrics.histogram("service.latency_us", kLatencyUsBounds)
+        .record(latency / 1000);
+    telemetry_->metrics.timer("service.latency_ns") += latency;
+  }
+  note_response(seq, op_text, trace, ok, latency, meta,
+                ok ? nullptr : &reply.error);
   return line;
 }
 
-void Service::submit(std::string_view line) {
-  submit_at(line, cfg_.clock(), /*transport_stamped=*/false);
+std::string Service::submit(std::string_view line) {
+  return submit_at(line, cfg_.clock(), /*transport_stamped=*/false);
 }
 
-void Service::submit(std::string_view line, std::int64_t arrival_ns) {
-  submit_at(line, arrival_ns, /*transport_stamped=*/true);
+std::string Service::submit(std::string_view line, std::int64_t arrival_ns) {
+  return submit_at(line, arrival_ns, /*transport_stamped=*/true);
 }
 
-void Service::submit_oversized(std::size_t bytes) {
+std::string Service::submit_oversized(std::size_t bytes) {
   const std::uint64_t seq = ++seq_;
   const std::int64_t start = cfg_.clock();
   bump("service.requests");
@@ -279,12 +274,13 @@ void Service::submit_oversized(std::size_t bytes) {
   meta.bytes = bytes;
   // Ordered like the in-band size gate: before the draining check, so a
   // refused-to-buffer line answers `oversized` in every service state.
-  respond_error(seq, "", "", generated_trace(seq),
-                oversized_error(bytes, cfg_.max_request_bytes), start, meta);
+  return respond(seq, "", "", generated_trace(seq),
+                 {{}, oversized_error(bytes, cfg_.max_request_bytes)}, start,
+                 meta);
 }
 
-void Service::submit_at(std::string_view line, std::int64_t start,
-                        bool transport_stamped) {
+std::string Service::submit_at(std::string_view line, std::int64_t start,
+                               bool transport_stamped) {
   const std::uint64_t seq = ++seq_;
   bump("service.requests");
   RequestMeta meta;
@@ -292,10 +288,9 @@ void Service::submit_at(std::string_view line, std::int64_t start,
 
   // Size gate before parsing: an oversized line is rejected unread.
   if (line.size() > cfg_.max_request_bytes) {
-    respond_error(seq, "", "", generated_trace(seq),
-                  oversized_error(line.size(), cfg_.max_request_bytes), start,
-                  meta);
-    return;
+    return respond(seq, "", "", generated_trace(seq),
+                   {{}, oversized_error(line.size(), cfg_.max_request_bytes)},
+                   start, meta);
   }
 
   ParsedRequest p = parse_request(line);
@@ -306,17 +301,14 @@ void Service::submit_at(std::string_view line, std::int64_t start,
   // Graceful drain: after shutdown every request — well-formed or not —
   // is refused with `draining` (the parse above only salvages the echo).
   if (draining_) {
-    WireError e;
-    e.code = "draining";
-    e.message = "service is draining after shutdown";
-    respond_error(seq, p.id_json, p.op_text, trace, e, start, meta);
-    return;
+    return respond(seq, p.id_json, p.op_text, trace,
+                   fail("draining", "service is draining after shutdown"),
+                   start, meta);
   }
 
-  if (!p.ok) {
-    respond_error(seq, p.id_json, p.op_text, trace, p.error, start, meta);
-    return;
-  }
+  if (!p.ok)
+    return respond(seq, p.id_json, p.op_text, trace, {{}, p.error}, start,
+                   meta);
 
   if (telemetry_ != nullptr)
     ++telemetry_->metrics.counter("service.op." + p.op_text);
@@ -330,58 +322,62 @@ void Service::submit_at(std::string_view line, std::int64_t start,
       p.request.op != Op::kAnalyze) {
     const std::int64_t waited = cfg_.clock() - start;
     if (waited > *p.request.deadline_ms * 1'000'000) {
-      respond_error(seq, p.id_json, p.op_text, trace,
-                    deadline_error(waited, *p.request.deadline_ms), start,
-                    meta);
-      return;
+      return respond(seq, p.id_json, p.op_text, trace,
+                     {{}, deadline_error(waited, *p.request.deadline_ms)},
+                     start, meta);
     }
   }
 
-  execute(p.request, p.op_text, seq, p.id_json, trace, line.size(), start);
-}
-
-void Service::execute(const Request& r, const std::string& op_text,
-                      std::uint64_t seq, const std::string& id_json,
-                      const std::string& trace, std::size_t bytes,
-                      std::int64_t start_ns) {
-  RequestMeta meta;
-  meta.bytes = bytes;
   const TraceContextGuard trace_ctx(
       telemetry_ != nullptr ? &telemetry_->trace : nullptr, trace);
-  obs::Span op_span = obs::span(telemetry_, "service." + op_text);
-  WireError e;
+  const obs::Span op_span = obs::span(telemetry_, "service." + p.op_text);
+  const Reply reply = execute(p.request, trace, start, meta);
+  return respond(seq, p.id_json, p.op_text, trace, reply, start, meta);
+}
+
+Session* Service::find_session(const std::string& name, Reply& reply) {
+  Session* sess = store_->find(name);
+  if (sess == nullptr)
+    reply = fail("unknown_session", "no session named '" + name + "'");
+  return sess;
+}
+
+Service::RunOptions Service::run_options(const AnalyzeOptions& o) const {
+  RunOptions run{cfg_.analysis, std::string(o.ef_mode ? "ef/" : "fifo/") +
+                                    smax_name(o.smax)};
+  run.cfg.ef_mode = o.ef_mode;
+  run.cfg.smax_semantics = o.smax;
+  run.cfg.workers = cfg_.workers;
+  return run;
+}
+
+Service::Reply Service::execute(const Request& r, const std::string& trace,
+                                std::int64_t start_ns, RequestMeta& meta) {
+  Reply reply;
   switch (r.op) {
     case Op::kLoadNetwork: {
       const model::ParseResult parsed = model::parse_flow_set(r.text);
       if (!parsed.ok()) {
-        e.code = "bad_flow_set";
-        e.message = parsed.located_error();
-        e.line = parsed.error_line;
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
+        reply = fail("bad_flow_set", parsed.located_error());
+        reply.error.line = parsed.error_line;
+        return reply;
       }
       if (const auto issues = parsed.flow_set->validate(); !issues.empty()) {
-        e.code = "invalid_flow_set";
-        e.message = issues.front().message;
+        std::string message = issues.front().message;
         if (issues.size() > 1)
-          e.message +=
+          message +=
               " (+" + std::to_string(issues.size() - 1) + " more issue(s))";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
+        return fail("invalid_flow_set", std::move(message));
       }
       Session* sess = nullptr;
       switch (store_->create(r.session, &sess)) {
         case SessionStore::Create::kDuplicate:
-          e.code = "duplicate_session";
-          e.message = "a session named '" + r.session + "' already exists";
-          respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-          return;
+          return fail("duplicate_session",
+                      "a session named '" + r.session + "' already exists");
         case SessionStore::Create::kFull:
-          e.code = "too_many_sessions";
-          e.message = "session limit of " +
-                      std::to_string(store_->capacity()) + " reached";
-          respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-          return;
+          return fail("too_many_sessions",
+                      "session limit of " +
+                          std::to_string(store_->capacity()) + " reached");
         case SessionStore::Create::kCreated:
           break;
       }
@@ -396,57 +392,38 @@ void Service::execute(const Request& r, const std::string& op_text,
       if (telemetry_ != nullptr)
         telemetry_->metrics.gauge("service.sessions") =
             static_cast<std::int64_t>(store_->size());
-      std::string result = "{\"session\":" + json_string(r.session) +
-                           ",\"flows\":" + std::to_string(flows) +
-                           ",\"nodes\":" + std::to_string(nodes) + "}";
-      respond_ok(seq, id_json, op_text, trace, result, start_ns, meta);
-      return;
+      reply.result = "{\"session\":" + json_string(r.session) +
+                     ",\"flows\":" + std::to_string(flows) +
+                     ",\"nodes\":" + std::to_string(nodes) + "}";
+      return reply;
     }
     case Op::kAnalyze: {
-      Session* sess = store_->find(r.session);
+      Session* sess = find_session(r.session, reply);
       std::unique_lock<std::mutex> session_lock;
       if (sess != nullptr) session_lock = std::unique_lock(sess->mu);
       // One clock reading just before the engine runs, so time spent in
       // the transport queue and waiting for the session lock both count
       // against the deadline.
       const std::int64_t waited = cfg_.clock() - start_ns;
-      if (r.deadline_ms && waited > *r.deadline_ms * 1'000'000) {
-        respond_error(seq, id_json, op_text, trace,
-                      deadline_error(waited, *r.deadline_ms), start_ns, meta);
-        return;
-      }
-      if (sess == nullptr) {
-        e.code = "unknown_session";
-        e.message = "no session named '" + r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
-      if (sess->set.empty()) {
-        e.code = "empty_session";
-        e.message = "session '" + r.session + "' has no flows to analyse";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
-      trajectory::Config cfg = cfg_.analysis;
-      cfg.ef_mode = r.analyze.ef_mode;
-      cfg.smax_semantics = r.analyze.smax;
-      cfg.workers = cfg_.workers;
-      std::string memo_key = std::string(cfg.ef_mode ? "ef" : "all") + ":" +
-                             smax_name(cfg.smax_semantics) + "\n" +
-                             model::serialize_flow_set(sess->set);
-      if (sess->memo_key == memo_key) {
+      if (r.deadline_ms && waited > *r.deadline_ms * 1'000'000)
+        return {{}, deadline_error(waited, *r.deadline_ms)};
+      if (sess == nullptr) return reply;
+      if (sess->set.empty())
+        return fail("empty_session",
+                    "session '" + r.session + "' has no flows to analyse");
+      // Every mutation invalidates the memo, so the options alone key it.
+      RunOptions run = run_options(r.analyze);
+      if (sess->memo_key == run.key) {
         bump("service.analyze.memo_hits");
-        respond_ok(seq, id_json, op_text, trace,
-                   "{\"cached\":true," + sess->memo_fragment + "}", start_ns,
-                   meta);
-        return;
+        reply.result = "{\"cached\":true," + sess->memo_fragment + "}";
+        return reply;
       }
       trajectory::Result res;
       {
         // The session tracer carries this request's trace id through the
         // engine's phase spans.
         const TraceContextGuard session_ctx(&sess->telemetry.trace, trace);
-        res = trajectory::reanalyze_with(sess->set, sess->cache, cfg,
+        res = trajectory::reanalyze_with(sess->set, sess->cache, run.cfg,
                                          &sess->telemetry);
       }
       if (telemetry_ != nullptr) {
@@ -454,71 +431,41 @@ void Service::execute(const Request& r, const std::string& op_text,
         trajectory::publish_stats(res.stats, telemetry_->metrics);
       }
       ++sess->analyzes;
-      sess->memo_key = std::move(memo_key);
+      sess->memo_key = std::move(run.key);
       sess->memo_fragment = render_analyze_fragment(sess->set, res);
       meta.smax_passes = res.stats.smax_passes;
-      respond_ok(seq, id_json, op_text, trace,
-                 "{\"cached\":false," + sess->memo_fragment + "}", start_ns,
-                 meta);
-      return;
+      reply.result = "{\"cached\":false," + sess->memo_fragment + "}";
+      return reply;
     }
     case Op::kAddFlow: {
-      Session* sess = store_->find(r.session);
-      if (sess == nullptr) {
-        e.code = "unknown_session";
-        e.message = "no session named '" + r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
+      Session* sess = find_session(r.session, reply);
+      if (sess == nullptr) return reply;
       const std::scoped_lock session_lock(sess->mu);
       std::string why;
       const auto flow = parse_flow_line(sess->set.network(), r.flow, &why);
-      if (!flow) {
-        e.code = "bad_flow_set";
-        e.message = why;
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
-      if (sess->set.find(flow->name())) {
-        e.code = "duplicate_flow";
-        e.message = "a flow named '" + flow->name() +
-                    "' already exists in session '" + r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
+      if (!flow) return fail("bad_flow_set", std::move(why));
+      if (sess->set.find(flow->name()))
+        return fail("duplicate_flow", "a flow named '" + flow->name() +
+                                          "' already exists in session '" +
+                                          r.session + "'");
       model::FlowSet tentative = sess->set;
       tentative.add(*flow);
-      if (const auto issues = tentative.validate(); !issues.empty()) {
-        e.code = "invalid_flow_set";
-        e.message = issues.front().message;
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
+      if (const auto issues = tentative.validate(); !issues.empty())
+        return fail("invalid_flow_set", issues.front().message);
       sess->set = std::move(tentative);
       if (sess->sharded) sess->sharded->add_flow(*flow);
       sess->invalidate_memo();
-      respond_ok(seq, id_json, op_text, trace,
-                 "{\"flows\":" + std::to_string(sess->set.size()) + "}",
-                 start_ns, meta);
-      return;
+      reply.result = "{\"flows\":" + std::to_string(sess->set.size()) + "}";
+      return reply;
     }
     case Op::kRemoveFlow: {
-      Session* sess = store_->find(r.session);
-      if (sess == nullptr) {
-        e.code = "unknown_session";
-        e.message = "no session named '" + r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
+      Session* sess = find_session(r.session, reply);
+      if (sess == nullptr) return reply;
       const std::scoped_lock session_lock(sess->mu);
       const auto idx = sess->set.find(r.name);
-      if (!idx) {
-        e.code = "unknown_flow";
-        e.message = "no flow named '" + r.name + "' in session '" +
-                    r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
+      if (!idx)
+        return fail("unknown_flow", "no flow named '" + r.name +
+                                        "' in session '" + r.session + "'");
       model::FlowSet next(sess->set.network());
       for (std::size_t i = 0; i < sess->set.size(); ++i)
         if (static_cast<FlowIndex>(i) != *idx)
@@ -528,32 +475,16 @@ void Service::execute(const Request& r, const std::string& op_text,
       // The cache is kept: reanalyze_with() detects the removal and
       // falls back to a cold start on its own.
       sess->invalidate_memo();
-      respond_ok(seq, id_json, op_text, trace,
-                 "{\"flows\":" + std::to_string(sess->set.size()) + "}",
-                 start_ns, meta);
-      return;
+      reply.result = "{\"flows\":" + std::to_string(sess->set.size()) + "}";
+      return reply;
     }
     case Op::kAdmit: {
-      Session* sess = store_->find(r.session);
-      if (sess == nullptr) {
-        e.code = "unknown_session";
-        e.message = "no session named '" + r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
+      Session* sess = find_session(r.session, reply);
+      if (sess == nullptr) return reply;
       const std::scoped_lock session_lock(sess->mu);
       std::string why;
       const auto flow = parse_flow_line(sess->set.network(), r.flow, &why);
-      if (!flow) {
-        e.code = "bad_flow_set";
-        e.message = why;
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
-      trajectory::Config cfg = cfg_.analysis;
-      cfg.ef_mode = r.analyze.ef_mode;
-      cfg.smax_semantics = r.analyze.smax;
-      cfg.workers = cfg_.workers;
+      if (!flow) return fail("bad_flow_set", std::move(why));
       // Shard-routed admission: the session's analyzer partitions its
       // flows into connected components of the dependency graph, and the
       // admit analyses only the shards the candidate's path touches —
@@ -561,17 +492,13 @@ void Service::execute(const Request& r, const std::string& op_text,
       // (docs/sharding.md).  The analyzer is rebuilt whenever the
       // request's analysis options differ from the ones it was built
       // with, since per-shard results are only valid under one Config.
-      const std::string key =
-          std::string(r.analyze.ef_mode ? "ef" : "fifo") +
-          (r.analyze.smax == trajectory::SmaxSemantics::kArrival
-               ? "/arrival"
-               : "/completion");
-      if (!sess->sharded || sess->sharded_key != key) {
+      RunOptions run = run_options(r.analyze);
+      if (!sess->sharded || sess->sharded_key != run.key) {
         sess->sharded = std::make_unique<trajectory::ShardedAnalyzer>(
-            sess->set.network(), cfg);
+            sess->set.network(), run.cfg);
         sess->sharded->attach_telemetry(&sess->telemetry);
         sess->sharded->load(sess->set);
-        sess->sharded_key = key;
+        sess->sharded_key = std::move(run.key);
       }
       trajectory::AdmitOutcome d;
       {
@@ -596,7 +523,8 @@ void Service::execute(const Request& r, const std::string& op_text,
              {"merged", std::to_string(d.merged_shards)}});
       }
       const trajectory::ShardStats shards = sess->sharded->stats();
-      std::string result = "{\"admitted\":";
+      std::string& result = reply.result;
+      result = "{\"admitted\":";
       result += d.admitted ? "true" : "false";
       result += ",\"reason\":" + json_string(d.reason);
       result += ",\"bound\":" + json_duration(d.candidate_bound);
@@ -611,56 +539,34 @@ void Service::execute(const Request& r, const std::string& op_text,
                 ",\"merged\":" + std::to_string(d.merged_shards) +
                 ",\"shards\":" + std::to_string(shards.shards) +
                 ",\"largest\":" + std::to_string(shards.largest_shard) + "}}";
-      respond_ok(seq, id_json, op_text, trace, result, start_ns, meta);
-      return;
+      return reply;
     }
     case Op::kSnapshot: {
-      Session* sess = store_->find(r.session);
-      if (sess == nullptr) {
-        e.code = "unknown_session";
-        e.message = "no session named '" + r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
+      Session* sess = find_session(r.session, reply);
+      if (sess == nullptr) return reply;
       const std::scoped_lock session_lock(sess->mu);
       const std::size_t shards =
           sess->sharded ? sess->sharded->shard_count() : 0;
-      std::string result =
-          "{\"flows\":" + std::to_string(sess->set.size()) +
-          ",\"analyzes\":" + std::to_string(sess->analyzes) +
-          ",\"shards\":" + std::to_string(shards) + ",\"text\":" +
-          json_string(model::serialize_flow_set(sess->set)) + "}";
-      respond_ok(seq, id_json, op_text, trace, result, start_ns, meta);
-      return;
+      reply.result = "{\"flows\":" + std::to_string(sess->set.size()) +
+                     ",\"analyzes\":" + std::to_string(sess->analyzes) +
+                     ",\"shards\":" + std::to_string(shards) + ",\"text\":" +
+                     json_string(model::serialize_flow_set(sess->set)) + "}";
+      return reply;
     }
     case Op::kProvision: {
-      Session* sess = store_->find(r.session);
-      if (sess == nullptr) {
-        e.code = "unknown_session";
-        e.message = "no session named '" + r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
+      Session* sess = find_session(r.session, reply);
+      if (sess == nullptr) return reply;
       const std::scoped_lock session_lock(sess->mu);
-      if (sess->set.empty()) {
-        e.code = "empty_session";
-        e.message =
-            "session '" + r.session + "' has no flows to provision";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
+      if (sess->set.empty())
+        return fail("empty_session",
+                    "session '" + r.session + "' has no flows to provision");
       provision::Config pcfg;
       pcfg.capacity = r.capacity.value_or(0);
       std::optional<model::SporadicFlow> probe;
       if (!r.flow.empty()) {
         std::string why;
         probe = parse_flow_line(sess->set.network(), r.flow, &why);
-        if (!probe) {
-          e.code = "bad_flow_set";
-          e.message = why;
-          respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-          return;
-        }
+        if (!probe) return fail("bad_flow_set", std::move(why));
       }
       provision::Plan plan;
       std::size_t headroom = 0;
@@ -673,7 +579,8 @@ void Service::execute(const Request& r, const std::string& op_text,
           headroom = provision::max_clones_within(sess->set, *probe,
                                                   pcfg.capacity, pcfg);
       }
-      std::string result = "{\"all_sizeable\":";
+      std::string& result = reply.result;
+      result = "{\"all_sizeable\":";
       result += plan.all_sizeable ? "true" : "false";
       result += ",\"all_fit\":";
       result += plan.all_fit ? "true" : "false";
@@ -696,15 +603,14 @@ void Service::execute(const Request& r, const std::string& op_text,
       result += "]";
       if (probe) result += ",\"headroom\":" + std::to_string(headroom);
       result += "}";
-      respond_ok(seq, id_json, op_text, trace, result, start_ns, meta);
-      return;
+      return reply;
     }
     case Op::kMetrics: {
       // Only the deterministic metric kinds go on the wire (counters,
       // histograms, series) — wall times stay in --metrics-out, so the
       // `metrics` response is identical for every worker count.
-      std::string result = "{\"requests\":" + std::to_string(seq_) +
-                           ",\"sessions\":[";
+      std::string& result = reply.result;
+      result = "{\"requests\":" + std::to_string(seq_) + ",\"sessions\":[";
       bool first = true;
       store_->for_each([&](const std::string& name, Session& sess) {
         const std::scoped_lock session_lock(sess.mu);
@@ -730,8 +636,7 @@ void Service::execute(const Request& r, const std::string& op_text,
       if (telemetry_ != nullptr)
         result += ",\"service\":" + telemetry_->metrics.deterministic_json();
       result += "}";
-      respond_ok(seq, id_json, op_text, trace, result, start_ns, meta);
-      return;
+      return reply;
     }
     case Op::kStatsz: {
       // Prometheus-text exposition of the deterministic metric kinds
@@ -743,13 +648,8 @@ void Service::execute(const Request& r, const std::string& op_text,
       // endpoint, which may serve host-dependent values.
       obs::MetricRegistry merged;
       if (!r.session.empty()) {
-        Session* sess = store_->find(r.session);
-        if (sess == nullptr) {
-          e.code = "unknown_session";
-          e.message = "no session named '" + r.session + "'";
-          respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-          return;
-        }
+        Session* sess = find_session(r.session, reply);
+        if (sess == nullptr) return reply;
         const std::scoped_lock session_lock(sess->mu);
         merged.merge(sess->telemetry.metrics);
       } else {
@@ -762,29 +662,23 @@ void Service::execute(const Request& r, const std::string& op_text,
       }
       obs::ExpositionOptions opts;
       opts.deterministic_only = true;
-      const std::string result =
-          "{\"format\":\"prometheus\",\"text\":" +
-          json_string(obs::prometheus_text(merged, opts)) + "}";
-      respond_ok(seq, id_json, op_text, trace, result, start_ns, meta);
-      return;
+      reply.result = "{\"format\":\"prometheus\",\"text\":" +
+                     json_string(obs::prometheus_text(merged, opts)) + "}";
+      return reply;
     }
-    case Op::kFlush: {
+    case Op::kFlush:
       // Kept for protocol compatibility: every request is answered before
       // submit() returns, so there is never anything to flush.
-      respond_ok(seq, id_json, op_text, trace, "{\"flushed\":0}", start_ns,
-                 meta);
-      return;
-    }
-    case Op::kShutdown: {
+      reply.result = "{\"flushed\":0}";
+      return reply;
+    case Op::kShutdown:
       draining_ = true;
-      respond_ok(seq, id_json, op_text, trace,
-                 "{\"sessions\":" + std::to_string(store_->size()) +
-                     ",\"requests\":" + std::to_string(seq_) + "}",
-                 start_ns, meta);
-      return;
-    }
+      reply.result = "{\"sessions\":" + std::to_string(store_->size()) +
+                     ",\"requests\":" + std::to_string(seq_) + "}";
+      return reply;
   }
   TFA_ASSERT(false);
+  return reply;
 }
 
 }  // namespace tfa::service

@@ -1,23 +1,25 @@
 // The long-lived analysis service (docs/service.md).
 //
 // A Service owns a SessionStore and turns JSON-line requests into
-// JSON-line responses.  It is an *embeddable* core: transports are thin
-// — Loopback (service/loopback.h) calls it in-process, serve_stream
-// (service/serve.h) pumps stdio — and both observe identical bytes for
-// identical request sequences, because every response is rendered with
-// a fixed key order and all scheduling-dependent values are kept off
-// the wire.
+// JSON-line responses: submit() takes one request line and returns its
+// response line.  It is an *embeddable* core: transports are thin —
+// Loopback (service/loopback.h) calls it in-process, serve_stream
+// (service/serve.h) pumps stdio, both transports framing their bytes
+// with the one LineFramer (service/framer.h) — and all observe
+// identical bytes for identical request sequences, because every
+// response is rendered with a fixed key order and all
+// scheduling-dependent values are kept off the wire.
 //
-// Request scheduling: every request, `analyze` included, is answered
-// before submit() returns, in arrival order.  An `analyze` answers from
-// the session's memo or warm-starts one engine run
+// Request scheduling: every request, `analyze` included, is answered by
+// the submit() call that carries it, in arrival order.  An `analyze`
+// answers from the session's memo or warm-starts one engine run
 // (trajectory::reanalyze_with() over the session's AnalysisCache) with
 // ServiceConfig::workers threads; the response bytes are bit-identical
 // for every worker count (pinned by tests/service/determinism_test.cpp).
 //
 // Shared-store mode: the socket transport
 // (service/socket_transport.h) gives every connection its own Service
-// — its own seq space and output queue — over one shared SessionStore,
+// — its own seq space and flight recorder — over one shared SessionStore,
 // so each connection's response bytes match what the same request
 // sequence would produce over stdio.  In that mode
 // requests for different sessions execute truly concurrently; the
@@ -35,7 +37,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -108,8 +109,8 @@ struct RequestMeta {
 };
 
 /// The embeddable service core.  Single-threaded by contract, like the
-/// rest of the observability layer: one thread submits and polls;
-/// parallelism lives inside the engine runs.
+/// rest of the observability layer: one thread submits; parallelism
+/// lives inside the engine runs.
 class Service {
  public:
   /// `telemetry` (may be null, must outlive the service) receives the
@@ -125,9 +126,9 @@ class Service {
   /// shared store's own capacity governs.
   Service(ServiceConfig cfg, obs::Telemetry* telemetry, SessionStore* shared);
 
-  /// Accepts one request line.  Always consumes one sequence number and
-  /// queues exactly one response before it returns.
-  void submit(std::string_view line);
+  /// Serves one request line and returns its response line (no
+  /// newline).  Always consumes one sequence number.
+  std::string submit(std::string_view line);
 
   /// Transport-timestamped variant: `arrival_ns` (a value of the
   /// configured clock, taken when the transport finished reading the
@@ -136,16 +137,13 @@ class Service {
   /// `deadline_ms`.  This overload consults the clock once itself to
   /// test already-expired deadlines of non-analyze ops (`analyze` reads
   /// the clock before its engine run either way).
-  void submit(std::string_view line, std::int64_t arrival_ns);
+  std::string submit(std::string_view line, std::int64_t arrival_ns);
 
-  /// Emits the `oversized` error envelope for a request line of
+  /// Returns the `oversized` error envelope for a request line of
   /// `bytes` bytes that the transport refused to buffer (it consumes a
   /// sequence number exactly like submit of the full line would —
   /// docs/service.md, "Limits").
-  void submit_oversized(std::size_t bytes);
-
-  /// Next completed response line in sequence order, if any.
-  [[nodiscard]] std::optional<std::string> next_response();
+  std::string submit_oversized(std::size_t bytes);
 
   /// True once a `shutdown` request was served: every later submit() is
   /// answered with a `draining` error.
@@ -170,26 +168,41 @@ class Service {
     std::size_t smax_passes = 0;
   };
 
-  void submit_at(std::string_view line, std::int64_t start_ns,
-                 bool transport_stamped);
-  void execute(const Request& r, const std::string& op_text,
-               std::uint64_t seq, const std::string& id_json,
-               const std::string& trace, std::size_t bytes,
-               std::int64_t start_ns);
+  /// What a request answers: the ok result body, or `error` when its
+  /// code is set.
+  struct Reply {
+    std::string result;
+    WireError error;
+  };
+  static Reply fail(std::string code, std::string message);
 
-  void respond_ok(std::uint64_t seq, const std::string& id_json,
-                  std::string_view op_text, const std::string& trace,
-                  std::string_view result_json, std::int64_t start_ns,
-                  const RequestMeta& meta = {});
-  void respond_error(std::uint64_t seq, const std::string& id_json,
-                     std::string_view op_text, const std::string& trace,
-                     const WireError& error, std::int64_t start_ns,
-                     const RequestMeta& meta = {});
-  /// Records the latency metrics and queues the line; returns the
-  /// response latency (one clock call — the fixed schedule).
-  std::int64_t emit(std::string line, std::int64_t start_ns);
+  /// The engine configuration of an `analyze` or `admit`, and `key`, the
+  /// fingerprint of its options that the session's memo and sharded
+  /// analyzer are kept under.
+  struct RunOptions {
+    trajectory::Config cfg;
+    std::string key;
+  };
+  [[nodiscard]] RunOptions run_options(const AnalyzeOptions& o) const;
+
+  std::string submit_at(std::string_view line, std::int64_t start_ns,
+                        bool transport_stamped);
+  /// Runs a parsed, accepted request; fills the flight-recorder fields
+  /// of `meta` the run knows.
+  Reply execute(const Request& r, const std::string& trace,
+                std::int64_t start_ns, RequestMeta& meta);
+  /// The session named `name`, or null with `reply` set to the
+  /// `unknown_session` error.
+  Session* find_session(const std::string& name, Reply& reply);
+
+  /// Renders the envelope and records the error counters, latency
+  /// metrics (one clock call — the fixed schedule) and flight record.
+  std::string respond(std::uint64_t seq, const std::string& id_json,
+                      std::string_view op_text, const std::string& trace,
+                      const Reply& reply, std::int64_t start_ns,
+                      const RequestMeta& meta);
   /// Flight-recorder bookkeeping + slow-request / deadline-trip event
-  /// hooks, after a response was emitted.
+  /// hooks, after a response was rendered.
   void note_response(std::uint64_t seq, std::string_view op_text,
                      const std::string& trace, bool ok,
                      std::int64_t latency_ns, const RequestMeta& meta,
@@ -204,7 +217,6 @@ class Service {
   std::uint64_t seq_ = 0;
   bool draining_ = false;
 
-  std::deque<std::string> out_;
   std::deque<FlightRecord> flight_;  ///< Last N responses, oldest first.
 };
 

@@ -53,16 +53,18 @@ struct Session {
   /// the first `admit` and kept in membership lockstep with `set` by the
   /// mutating ops.  An admit analyses only the shards the candidate's
   /// path touches — bit-identical to the global analysis, but priced by
-  /// shard size.  `sharded_key` fingerprints the analysis options the
-  /// analyzer was built with; an admit under different options rebuilds
-  /// it cold rather than reusing state computed under the wrong Config.
+  /// shard size.  `sharded_key` is the options key (Service::RunOptions)
+  /// the analyzer was built with; an admit under different options
+  /// rebuilds it cold rather than reusing state computed under the wrong
+  /// Config.
   std::unique_ptr<trajectory::ShardedAnalyzer> sharded;
   std::string sharded_key;
 
-  /// Exact-result memo of the latest analyze: `memo_key` identifies the
-  /// (options, serialized set) pair, `memo_fragment` is the rendered
-  /// result body.  A repeat analyze of an unchanged session answers from
-  /// here without touching the engine.  Any mutation invalidates it.
+  /// Exact-result memo of the latest analyze: `memo_key` is the options
+  /// key it ran under, `memo_fragment` the rendered result body.  A
+  /// repeat analyze under the same options answers from here without
+  /// touching the engine.  The key need not cover the set, because every
+  /// mutation of `set` calls invalidate_memo().
   std::string memo_key;
   std::string memo_fragment;
 

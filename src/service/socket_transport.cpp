@@ -6,13 +6,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "base/contracts.h"
 #include "obs/eventlog.h"
 #include "obs/exposition.h"
 #include "obs/telemetry.h"
+#include "service/framer.h"
 #include "service/metrics_http.h"
 #include "service/protocol.h"
 
@@ -24,14 +24,6 @@ std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// serve_stream's notion of an ignorable line (serve.cpp) — kept
-/// identical so the transports frame the same byte stream the same way.
-bool blank(std::string_view line) noexcept {
-  for (const char c : line)
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  return true;
 }
 
 /// The one-line goodbye a shed connection receives.  `seq` is 0: no
@@ -50,17 +42,19 @@ const std::string& shed_line() {
 
 }  // namespace
 
-/// One client connection.  Framing state (`partial`, the discard
-/// counters, `eof`) is touched only by the event-loop thread; the
-/// executor/loop handshake (`pending`, `busy`, `outbuf`, the close
-/// flags) is guarded by `mu`.  `service` is used exclusively by the
-/// executor that holds `busy`, honouring Service's single-threaded
-/// contract; cross-connection safety comes from the shared
-/// SessionStore's locks underneath.
+/// One client connection.  Framing state (`framer`, `eof`) is touched
+/// only by the event-loop thread; the executor/loop handshake
+/// (`pending`, `busy`, `outbuf`, the close flags) is guarded by `mu`.
+/// `service` is used exclusively by the executor that holds `busy`,
+/// honouring Service's single-threaded contract; cross-connection
+/// safety comes from the shared SessionStore's locks underneath.
 struct SocketServer::Conn {
   Conn(net::UniqueFd fd_in, std::uint64_t id_in, const ServiceConfig& cfg,
        SessionStore* store)
-      : fd(std::move(fd_in)), id(id_in), service(cfg, nullptr, store) {
+      : fd(std::move(fd_in)),
+        id(id_in),
+        service(cfg, nullptr, store),
+        framer(cfg.max_request_bytes) {
     latency.bounds = latency_bounds(1);
     latency.counts.assign(latency.bounds.size(), 0);
   }
@@ -70,11 +64,8 @@ struct SocketServer::Conn {
   Service service;
 
   // Event-loop-owned framing state.
-  std::string partial;      ///< Bytes of the line being assembled.
-  bool discarding = false;  ///< Oversized line: counting until newline.
-  std::size_t discarded = 0;
-  bool last_cr = false;  ///< Last discarded byte was '\r' (strip parity).
-  bool eof = false;      ///< Read side closed.
+  LineFramer framer;
+  bool eof = false;  ///< Read side closed.
 
   /// One unit of executor work: a framed request line, or the byte
   /// count of an oversized line the loop refused to buffer.
@@ -91,9 +82,9 @@ struct SocketServer::Conn {
   std::size_t out_cursor = 0;  ///< Bytes of `outbuf` already written.
   bool broken = false;         ///< Hard socket error: close without flushing.
 
-  /// Request latency (arrival to responses-drained), recorded by the
-  /// owning executor and read by the metrics snapshot — guarded by `mu`
-  /// like the rest of the executor handshake.
+  /// Request latency (arrival to its batch's replies rendered), recorded
+  /// by the owning executor and read by the metrics snapshot — guarded by
+  /// `mu` like the rest of the executor handshake.
   obs::Histogram latency;
 };
 
@@ -288,101 +279,27 @@ void SocketServer::accept_pending() {
   }
 }
 
-void SocketServer::enqueue_line(Conn& c, std::string line) {
-  // serve_stream parity: trailing '\r' stripped, blank lines skipped
-  // (no sequence number consumed).
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  if (blank(line)) return;
-  Conn::Item item;
-  item.arrival_ns = steady_now_ns();
-  if (line.size() > cfg_.service.max_request_bytes) {
-    item.oversized_bytes = line.size();
-  } else {
-    item.line = std::move(line);
-  }
-  const std::scoped_lock lock(c.mu);
-  c.pending.push_back(std::move(item));
-}
-
-void SocketServer::feed(Conn& c, const char* data, std::size_t n) {
-  // Newline framing with the size limit enforced *while reading*: a
-  // line is buffered up to max_request_bytes + 1 (the +1 absorbs a
-  // trailing '\r'); past that the loop only counts bytes until the
-  // newline, then reports the exact length in the oversized envelope.
-  const std::size_t cap = cfg_.service.max_request_bytes + 1;
-  std::size_t i = 0;
-  while (i < n) {
-    const void* nl_raw = std::memchr(data + i, '\n', n - i);
-    const char* nl = static_cast<const char*>(nl_raw);
-    const std::size_t seg = nl != nullptr
-                                ? static_cast<std::size_t>(nl - (data + i))
-                                : n - i;
-    if (c.discarding) {
-      if (nl == nullptr) {
-        c.discarded += seg;
-        if (seg > 0) c.last_cr = data[n - 1] == '\r';
-        i = n;
-        continue;
-      }
-      const bool cr = seg > 0 ? *(nl - 1) == '\r' : c.last_cr;
-      std::size_t total = c.discarded + seg;
-      if (cr) --total;
-      Conn::Item item;
-      item.arrival_ns = steady_now_ns();
-      item.oversized_bytes = total;
-      {
-        const std::scoped_lock lock(c.mu);
-        c.pending.push_back(std::move(item));
-      }
-      c.discarding = false;
-      c.discarded = 0;
-      c.last_cr = false;
-      i += seg + 1;
-      continue;
-    }
-    if (c.partial.size() + seg > cap) {
-      // The line just outgrew the limit: stop buffering, start counting.
-      c.discarding = true;
-      c.discarded = c.partial.size();
-      c.partial.clear();
-      c.last_cr = false;
-      continue;  // Re-enters the discard branch on the same bytes.
-    }
-    c.partial.append(data + i, seg);
-    if (nl == nullptr) {
-      i = n;
-      continue;
-    }
-    i += seg + 1;
-    enqueue_line(c, std::move(c.partial));
-    c.partial.clear();
-  }
-}
-
 void SocketServer::read_from(const std::shared_ptr<Conn>& c) {
+  const auto enqueue = [&c](const Frame& f) {
+    Conn::Item item;
+    item.line = f.line;
+    item.arrival_ns = steady_now_ns();
+    item.oversized_bytes = f.oversized;
+    const std::scoped_lock lock(c->mu);
+    c->pending.push_back(std::move(item));
+  };
   char buf[16384];
   for (;;) {
     const ssize_t n = ::recv(c->fd.get(), buf, sizeof buf, 0);
     if (n > 0) {
       bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
                           std::memory_order_relaxed);
-      feed(*c, buf, static_cast<std::size_t>(n));
+      c->framer.feed({buf, static_cast<std::size_t>(n)}, enqueue);
       continue;
     }
     if (n == 0) {
       c->eof = true;
-      // getline parity: a final unterminated line still counts.
-      if (c->discarding) {
-        Conn::Item item;
-        item.arrival_ns = steady_now_ns();
-        item.oversized_bytes = c->discarded - (c->last_cr ? 1 : 0);
-        const std::scoped_lock lock(c->mu);
-        c->pending.push_back(std::move(item));
-        c->discarding = false;
-      } else if (!c->partial.empty()) {
-        enqueue_line(*c, std::move(c->partial));
-        c->partial.clear();
-      }
+      c->framer.finish(enqueue);
       break;
     }
     if (errno == EINTR) continue;
@@ -562,19 +479,16 @@ void SocketServer::executor_loop() {
         const std::scoped_lock lock(c->mu);
         batch.swap(c->pending);
       }
+      std::string out;
       for (Conn::Item& item : batch) {
         if (item.oversized_bytes > 0) {
           oversized_.fetch_add(1, std::memory_order_relaxed);
-          c->service.submit_oversized(item.oversized_bytes);
+          out += c->service.submit_oversized(item.oversized_bytes);
         } else {
-          c->service.submit(item.line, item.arrival_ns);
+          out += c->service.submit(item.line, item.arrival_ns);
         }
-        requests_.fetch_add(1, std::memory_order_relaxed);
-      }
-      std::string out;
-      while (std::optional<std::string> r = c->service.next_response()) {
-        out += *r;
         out += '\n';
+        requests_.fetch_add(1, std::memory_order_relaxed);
       }
       const std::int64_t done_ns = steady_now_ns();
       bool finished;

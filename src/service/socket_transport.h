@@ -5,13 +5,14 @@
 // Architecture — one event loop, E executors, one shared SessionStore:
 //
 //   * The event-loop thread owns every fd: non-blocking accept,
-//     per-connection read buffers (newline framing, with the
-//     max_request_bytes cap enforced *while reading*, so an oversized
-//     line costs bounded memory and still gets its structured
-//     `oversized` envelope), and non-blocking writes from bounded
-//     per-connection output queues.
-//   * Each connection owns a Service instance — its own seq space and
-//     response queue — so a connection's response bytes are exactly what
+//     per-connection framing (the LineFramer of service/framer.h that
+//     stdio uses too, with the max_request_bytes cap enforced *while
+//     reading*, so an oversized line costs bounded memory and still
+//     gets its structured `oversized` envelope), and non-blocking writes
+//     from bounded per-connection output queues.
+//   * Each connection owns a Service instance — its own seq space — and
+//     an executor appends each Service::submit reply to the connection's
+//     output queue, so a connection's response bytes are exactly what
 //     the same request lines would produce over stdio or the in-process
 //     loopback (pinned by tests/service/socket_test.cpp).
 //   * All connections share one SessionStore.  Executor threads run
@@ -170,8 +171,6 @@ class SocketServer {
   void executor_loop();
   void accept_pending();
   void read_from(const std::shared_ptr<Conn>& c);
-  void feed(Conn& c, const char* data, std::size_t n);
-  void enqueue_line(Conn& c, std::string line);
   void write_to(const std::shared_ptr<Conn>& c);
   void maybe_dispatch(const std::shared_ptr<Conn>& c);
   void retire(const std::shared_ptr<Conn>& c);

@@ -1,8 +1,8 @@
 // Tests of the scoped span tracer (obs/span.h): deterministic timestamps
 // via clock injection, nesting depth, no-op handles, idempotent end(),
 // events that keep their interned names and traces across context
-// windows and moves, and a Chrome trace-event export that parses as
-// strict JSON.
+// windows, moves and capacity evictions, and a Chrome trace-event export
+// that parses as strict JSON.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -89,13 +89,16 @@ TEST(Span, CapacityDropsSpansAndTheHelperTalliesThem) {
   {
     Span outer = span(&tel, "outer");
     Span inner = span(&tel, "inner");
-    Span dropped = span(&tel, "dropped");  // at the cap: a no-op handle
-  }
-  { Span again = span(&tel, "again"); }
+    Span newest = span(&tel, "newest");  // at the cap: evicts "outer"
+  }  // closing the evicted, still-open "outer" is a no-op on the records
+  { Span again = span(&tel, "again"); }  // evicts "inner"
   ASSERT_EQ(tel.trace.events().size(), 2u);
-  EXPECT_EQ(tel.trace.events()[0].name, "outer");
-  EXPECT_EQ(tel.trace.events()[1].name, "inner");
-  EXPECT_GE(tel.trace.events()[1].dur_ns, 0);  // recorded spans still close
+  EXPECT_EQ(tel.trace.events()[0].name, "newest");
+  EXPECT_EQ(tel.trace.events()[1].name, "again");
+  EXPECT_EQ(tel.trace.events()[0].depth, 2u);
+  EXPECT_EQ(tel.trace.events()[1].depth, 0u);  // depth recovered
+  EXPECT_GE(tel.trace.events()[0].dur_ns, 0);  // recorded spans still close
+  EXPECT_GE(tel.trace.events()[1].dur_ns, 0);
   EXPECT_EQ(tel.metrics.counter_value("obs.spans_dropped"), 2);
 }
 
@@ -140,6 +143,25 @@ TEST(Tracer, EventsKeepNamesAndTracesAcrossContextsAndMoves) {
   // One stored copy per distinct name and per context window.
   EXPECT_EQ(ev[0].name.data(), ev[2].name.data());
   EXPECT_EQ(ev[0].trace.data(), ev[1].trace.data());
+}
+
+TEST(Tracer, CapacityKeepsTheNewestSpansWithTheirTraces) {
+  Tracer tracer = counter_tracer();
+  tracer.set_capacity(1);
+  tracer.set_context("req-1");
+  { Span a = tracer.span("a"); }
+  // Evicting "a" also evicts the only copy of "req-1", which the window's
+  // next span interns afresh.
+  { Span b = tracer.span("b"); }
+  ASSERT_EQ(tracer.events().size(), 1u);
+  EXPECT_EQ(tracer.events()[0].name, "b");
+  EXPECT_EQ(tracer.events()[0].trace, "req-1");
+  tracer.set_context("req-2");
+  { Span c = tracer.span("c"); }
+  ASSERT_EQ(tracer.events().size(), 1u);
+  EXPECT_EQ(tracer.events()[0].name, "c");
+  EXPECT_EQ(tracer.events()[0].trace, "req-2");
+  EXPECT_GE(tracer.events()[0].dur_ns, 0);
 }
 
 TEST(Tracer, ChromeTraceJsonParsesAndIsRelativeToFirstSpan) {

@@ -16,44 +16,37 @@ namespace {
 
 TEST(Drain, ShutdownFlushesQueuedAnalyzesFirst) {
   Service svc(test_config());
-  svc.submit(load_line("p", paper_text()));
-  svc.submit(analyze_line("p"));
-  svc.submit(analyze_line("p"));
-  svc.submit(R"({"op":"shutdown"})");
-  EXPECT_TRUE(svc.draining());
-
   // load, two analyzes (served, not refused), then the shutdown ack.
-  for (const std::uint64_t seq : {1u, 2u, 3u, 4u}) {
-    const auto r = svc.next_response();
-    ASSERT_TRUE(r.has_value()) << "missing response " << seq;
-    EXPECT_NE(r->find("\"seq\":" + std::to_string(seq) + ","),
+  const std::string responses[] = {
+      svc.submit(load_line("p", paper_text())),
+      svc.submit(analyze_line("p")),
+      svc.submit(analyze_line("p")),
+      svc.submit(R"({"op":"shutdown"})"),
+  };
+  EXPECT_TRUE(svc.draining());
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+    const std::string& r = responses[seq - 1];
+    EXPECT_NE(r.find("\"seq\":" + std::to_string(seq) + ","),
               std::string::npos)
-        << *r;
-    EXPECT_NE(r->find("\"ok\":true"), std::string::npos) << *r;
+        << r;
+    EXPECT_NE(r.find("\"ok\":true"), std::string::npos) << r;
   }
-  EXPECT_FALSE(svc.next_response().has_value());
 }
 
 TEST(Drain, EverythingAfterShutdownIsRefused) {
   Service svc(test_config());
-  svc.submit(load_line("p", paper_text()));
-  svc.submit(R"({"op":"shutdown"})");
+  (void)svc.submit(load_line("p", paper_text()));
+  (void)svc.submit(R"({"op":"shutdown"})");
   // Valid, malformed and mis-addressed requests alike: all draining.
-  svc.submit(analyze_line("p"));
-  svc.submit("garbage");
-  svc.submit(R"({"op":"metrics","id":9})");
-  (void)svc.next_response();  // load ack
-  (void)svc.next_response();  // shutdown ack
-  for (int i = 0; i < 3; ++i) {
-    const auto r = svc.next_response();
-    ASSERT_TRUE(r.has_value());
-    EXPECT_NE(r->find("\"code\":\"draining\""), std::string::npos) << *r;
+  for (const char* line :
+       {R"({"op":"analyze","session":"p"})", "garbage",
+        R"({"op":"metrics","id":9})"}) {
+    const std::string r = svc.submit(line);
+    EXPECT_NE(r.find("\"code\":\"draining\""), std::string::npos) << r;
   }
   // The id of a refused request is still echoed.
-  svc.submit(R"({"op":"flush","id":"bye"})");
-  const auto last = svc.next_response();
-  ASSERT_TRUE(last.has_value());
-  EXPECT_NE(last->find("\"id\":\"bye\""), std::string::npos) << *last;
+  const std::string last = svc.submit(R"({"op":"flush","id":"bye"})");
+  EXPECT_NE(last.find("\"id\":\"bye\""), std::string::npos) << last;
 }
 
 TEST(Drain, ServeStreamReportsShutdown) {

@@ -175,15 +175,13 @@ TEST(Malformed, DeadlineExceededInBatch) {
   // always expires by the time the analyze reads the clock again.
   Loopback lb(test_config());
   (void)lb.request(load_line("p", paper_text()));
-  lb.service().submit(
-      R"({"op":"analyze","session":"p","deadline_ms":0,"id":"late"})");
-  lb.service().submit(analyze_line("p"));
-  const auto first = lb.service().next_response();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(error_code(*first), "deadline_exceeded");
-  const auto second = lb.service().next_response();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_NE(second->find("\"ok\":true"), std::string::npos) << *second;
+  const std::vector<std::string> responses = lb.roundtrip(
+      {R"({"op":"analyze","session":"p","deadline_ms":0,"id":"late"})",
+       analyze_line("p")});
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(error_code(responses[0]), "deadline_exceeded");
+  EXPECT_NE(responses[1].find("\"ok\":true"), std::string::npos)
+      << responses[1];
 }
 
 }  // namespace

@@ -123,6 +123,59 @@ TEST(Protocol, GoldenTranscript) {
       R"({"seq":4,"ok":true,"op":"shutdown","trace":"bye-1","result":{"sessions":1,"requests":4}})");
 }
 
+/// The analyze memo is keyed by the analysis options alone, so it must
+/// follow every mutation of the set: the next analyze runs the engine
+/// ("cached":false) after each mutation or option change, and answers
+/// from the memo ("cached":true) after requests that leave the set alone.
+TEST(Protocol, AnalyzeMemoFollowsEveryMutationAndOptionChange) {
+  Loopback lb(test_config());
+  const auto send = [&](const std::string& line) {
+    const std::string r = lb.request(line);
+    EXPECT_NE(r.find(R"("ok":true)"), std::string::npos) << line << "\n" << r;
+    return r;
+  };
+  const auto cached = [&](const std::string& analyze) {
+    return send(analyze).find(R"("cached":true)") != std::string::npos;
+  };
+  const std::string plain = analyze_line("p");
+  const std::string ef = analyze_line("p", /*ef_mode=*/true);
+  const std::string completion =
+      R"({"op":"analyze","session":"p","smax":"completion"})";
+  (void)send(load_line("p", paper_text()));
+  EXPECT_FALSE(cached(plain));
+  EXPECT_TRUE(cached(plain));
+
+  const std::string admit_ok =
+      R"({"op":"admit","session":"p","flow":"flow side EF 36 0 200 path 0 11 costs 1"})";
+  const std::string admit_late =
+      R"({"op":"admit","session":"p","flow":"flow late EF 36 0 5 path 1 3 4 5 costs 4"})";
+  const std::string add =
+      R"({"op":"add_flow","session":"p","flow":"flow extra EF 36 0 200 path 11 0 costs 1"})";
+  const std::string remove =
+      R"({"op":"remove_flow","session":"p","name":"extra"})";
+  for (const std::string& mutation : {add, remove, admit_ok}) {
+    const std::string r = send(mutation);
+    if (mutation == admit_ok) {
+      EXPECT_NE(r.find(R"("admitted":true)"), std::string::npos) << r;
+    }
+    EXPECT_FALSE(cached(plain)) << mutation;
+    EXPECT_TRUE(cached(plain)) << mutation;
+  }
+  for (const std::string& options : {ef, completion, plain}) {
+    EXPECT_FALSE(cached(options)) << options;
+    EXPECT_TRUE(cached(options)) << options;
+  }
+
+  EXPECT_NE(send(admit_late).find(R"("admitted":false)"), std::string::npos);
+  EXPECT_TRUE(cached(plain));
+  for (const char* keep : {R"({"op":"provision","session":"p"})",
+                           R"({"op":"snapshot","session":"p"})",
+                           R"({"op":"metrics"})"}) {
+    (void)send(keep);
+    EXPECT_TRUE(cached(plain)) << keep;
+  }
+}
+
 /// The wire path must compute the exact in-process bounds (paper Table 2
 /// set, both properties).
 TEST(Protocol, AnalyzeMatchesInProcess) {

@@ -31,25 +31,25 @@ void run_soak(std::size_t requests) {
   std::uint64_t responses = 0;
   std::uint64_t expected_seq = 0;
 
-  const auto drain = [&] {
-    while (const auto r = svc.next_response()) {
-      ++responses;
-      ++expected_seq;
-      JsonError err;
-      const auto doc = json_parse(*r, &err);
-      ASSERT_TRUE(doc.has_value())
-          << *r << "\n  offset " << err.offset << ": " << err.message;
-      ASSERT_NE(doc->find("seq"), nullptr);
-      ASSERT_EQ(static_cast<std::uint64_t>(doc->find("seq")->number),
-                expected_seq)
-          << *r;
-    }
+  // Submits one line and checks its response.
+  const auto send = [&](const std::string& line) {
+    const std::string r = svc.submit(line);
+    ++responses;
+    ++expected_seq;
+    JsonError err;
+    const auto doc = json_parse(r, &err);
+    ASSERT_TRUE(doc.has_value())
+        << r << "\n  offset " << err.offset << ": " << err.message;
+    ASSERT_NE(doc->find("seq"), nullptr);
+    ASSERT_EQ(static_cast<std::uint64_t>(doc->find("seq")->number),
+              expected_seq)
+        << r;
   };
 
   // Two live sessions on a tiny network; "ghost" is never created, so a
   // third of the addressed traffic exercises the unknown_session path.
-  svc.submit(load_line("a", "network 6 1 1\n"));
-  svc.submit(load_line("b", "network 6 1 1\nflow base EF 20 0 80 path 0 1 costs 1\n"));
+  send(load_line("a", "network 6 1 1\n"));
+  send(load_line("b", "network 6 1 1\nflow base EF 20 0 80 path 0 1 costs 1\n"));
 
   for (std::size_t i = 0; i < requests; ++i) {
     const std::string& session =
@@ -62,26 +62,26 @@ void run_soak(std::size_t requests) {
       if (rng.chance(0.2)) line += ",\"smax\":\"completion\"";
       if (rng.chance(0.1)) line += ",\"deadline_ms\":0";
       line += "}";
-      svc.submit(line);
+      send(line);
     } else if (dice < 0.50) {
       const int id = next_flow++;
       const int a = static_cast<int>(rng.uniform(0, 5));
       int b = static_cast<int>(rng.uniform(0, 5));
       if (b == a) b = (b + 1) % 6;
-      svc.submit("{\"op\":\"add_flow\",\"session\":" + session_json +
-                 ",\"flow\":\"" +
-                 flow_line(id, 20 + 10 * rng.uniform(0, 6), a, b) + "\"}");
+      send("{\"op\":\"add_flow\",\"session\":" + session_json +
+           ",\"flow\":\"" +
+           flow_line(id, 20 + 10 * rng.uniform(0, 6), a, b) + "\"}");
     } else if (dice < 0.58) {
-      svc.submit("{\"op\":\"remove_flow\",\"session\":" + session_json +
-                 ",\"name\":\"s" +
-                 std::to_string(rng.uniform(0, next_flow + 1)) + "\"}");
+      send("{\"op\":\"remove_flow\",\"session\":" + session_json +
+           ",\"name\":\"s" +
+           std::to_string(rng.uniform(0, next_flow + 1)) + "\"}");
     } else if (dice < 0.66) {
       const int id = next_flow++;
-      svc.submit("{\"op\":\"admit\",\"session\":" + session_json +
-                 ",\"flow\":\"" + flow_line(id, 40, 2, 3) +
-                 "\",\"ef_mode\":true}");
+      send("{\"op\":\"admit\",\"session\":" + session_json +
+           ",\"flow\":\"" + flow_line(id, 40, 2, 3) +
+           "\",\"ef_mode\":true}");
     } else if (dice < 0.70) {
-      svc.submit("{\"op\":\"snapshot\",\"session\":" + session_json + "}");
+      send("{\"op\":\"snapshot\",\"session\":" + session_json + "}");
     } else if (dice < 0.75) {
       // Provisioning, sometimes with a capacity target and a what-if
       // probe (the probe path runs many plans per request).
@@ -91,11 +91,11 @@ void run_soak(std::size_t requests) {
       if (rng.chance(0.3))
         line += ",\"flow\":\"" + flow_line(next_flow++, 40, 1, 2) + "\"";
       line += "}";
-      svc.submit(line);
+      send(line);
     } else if (dice < 0.78) {
-      svc.submit(R"({"op":"metrics"})");
+      send(R"({"op":"metrics"})");
     } else if (dice < 0.80) {
-      svc.submit(R"({"op":"flush"})");
+      send(R"({"op":"flush"})");
     } else {
       // Malformed of every stripe.
       const std::string kBad[] = {
@@ -113,10 +113,9 @@ void run_soak(std::size_t requests) {
           R"({"op":"provision","session":"a","capacity":-3})",
           std::string(64, '{'),
       };
-      svc.submit(kBad[static_cast<std::size_t>(
+      send(kBad[static_cast<std::size_t>(
           rng.uniform(0, static_cast<std::int64_t>(std::size(kBad)) - 1))]);
     }
-    drain();
 
     // Keep the live sets small so the soak stays fast: trim the oldest
     // soak flows once a session grows past a dozen.
@@ -126,16 +125,14 @@ void run_soak(std::size_t requests) {
         if (sess == nullptr) continue;
         while (sess->set.size() > 12) {
           const std::string victim = sess->set.flow(FlowIndex{1}).name();
-          svc.submit("{\"op\":\"remove_flow\",\"session\":\"" +
-                     std::string(s) + "\",\"name\":\"" + victim + "\"}");
+          send("{\"op\":\"remove_flow\",\"session\":\"" +
+               std::string(s) + "\",\"name\":\"" + victim + "\"}");
         }
-        drain();
       }
     }
   }
-  svc.submit(R"({"op":"shutdown"})");
-  svc.submit(analyze_line("a"));  // refused: draining
-  drain();
+  send(R"({"op":"shutdown"})");
+  send(analyze_line("a"));  // refused: draining
   EXPECT_TRUE(svc.draining());
   EXPECT_EQ(responses, svc.requests());
 }

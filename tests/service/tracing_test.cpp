@@ -224,7 +224,8 @@ TEST(Tracing, WireTraceBecomesSpanContext) {
 /// tracer at most kLongLivedCapacity spans, and the drops are counted.
 /// Every admit + analyze of a new flow adds two busy-period series names
 /// (`shard.trajectory.flow.<name>.busy_period` and the unprefixed one)
-/// and one span tree.
+/// and one span tree.  The tracer keeps the newest spans: the last
+/// round's requests are traced, the first round's are evicted.
 TEST(Tracing, ChurnedSessionTelemetryStaysWithinTheCap) {
   Loopback lb(test_config());
   ASSERT_NE(lb.request(load_line("churn", "network 4 1 1\n"
@@ -233,7 +234,8 @@ TEST(Tracing, ChurnedSessionTelemetryStaysWithinTheCap) {
                 .find(R"("ok":true)"),
             std::string::npos);
   const std::size_t cap = obs::kLongLivedCapacity;
-  for (std::size_t i = 0; i < cap / 2 + 64; ++i) {
+  const std::size_t rounds = cap / 2 + 64;
+  for (std::size_t i = 0; i < rounds; ++i) {
     const std::string name = "f" + std::to_string(i);
     const std::string admit =
         lb.request(R"({"op":"admit","session":"churn","flow":"flow )" + name +
@@ -250,6 +252,16 @@ TEST(Tracing, ChurnedSessionTelemetryStaysWithinTheCap) {
   EXPECT_LE(sess->telemetry.trace.events().size(), cap);
   EXPECT_GT(sess->telemetry.metrics.counter_value("obs.series_dropped"), 0);
   EXPECT_GT(sess->telemetry.metrics.counter_value("obs.spans_dropped"), 0);
+  // Round i's analyze is request 3 + 3i (after the load and the round's
+  // admit), and its engine spans carry the generated trace id "t<seq>".
+  const auto analyze_traced = [&](std::size_t round) {
+    const std::string id = "t" + std::to_string(3 + 3 * round);
+    for (const obs::Tracer::Event& ev : sess->telemetry.trace.events())
+      if (ev.trace == id) return true;
+    return false;
+  };
+  EXPECT_FALSE(analyze_traced(0));
+  EXPECT_TRUE(analyze_traced(rounds - 1));
 }
 
 /// `statsz` serves the deterministic metric kinds only, so its bytes —
